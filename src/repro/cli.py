@@ -34,8 +34,7 @@ Subcommands
     Benchmark regression gate: ``bench check`` re-verifies every
     committed ``BENCH_*.json`` artifact's recorded claims, ``bench
     compare FRESH BASELINE`` gates a fresh ``--smoke`` artifact against
-    a recorded baseline with a configurable tolerance.  Also available
-    uninstalled as ``python tools/benchguard``.
+    a recorded baseline with a configurable tolerance.
 ``store``
     Manage the binary graph store: ``store build NAME`` materializes a
     dataset stand-in as a mmap-openable ``.rcsr`` container,

@@ -9,19 +9,15 @@ like one BFS, and each back-end additionally reports its own fine-
 grained work (arcs expanded, arcs inspected bottom-up, Dijkstra edge
 relaxations) so cross-metric comparisons stay honest.
 
-:class:`TraversalCounter` is the meter; :data:`BFSCounter` is the
-original name, kept as a deprecated alias because call sites and
-benchmark reports throughout the repository (and downstream users)
-still spell it that way.
+:class:`TraversalCounter` is the meter.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
-__all__ = ["TraversalCounter", "BFSCounter"]
+__all__ = ["TraversalCounter"]
 
 
 @dataclass
@@ -88,20 +84,3 @@ class TraversalCounter:
         self.vertices_visited += other.vertices_visited
         self.relaxations += other.relaxations
         self.history.extend(other.history)
-
-
-# Deprecated alias — the meter predates the weighted/directed oracles,
-# when every traversal really was a BFS.  The module-level __getattr__
-# keeps ``repro.counters.BFSCounter`` importable for existing call
-# sites, benchmarks, and pickled results, but every access now emits a
-# DeprecationWarning; new code constructs :class:`TraversalCounter`.
-def __getattr__(name: str) -> Any:
-    if name == "BFSCounter":
-        warnings.warn(
-            "repro.counters.BFSCounter is a deprecated alias; "
-            "use repro.counters.TraversalCounter",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return TraversalCounter
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,7 +35,6 @@ from repro.graph.traversal import (
 __all__ = [
     "Graph",
     "GraphBuilder",
-    "BFSCounter",
     "TraversalCounter",
     "BFSEngine",
     "BFSRunStats",
@@ -60,13 +59,3 @@ __all__ = [
     "largest_connected_component",
     "split_components",
 ]
-
-
-def __getattr__(name: str) -> object:
-    # Deprecated re-export (see repro.counters): accessing
-    # repro.graph.BFSCounter warns and resolves to TraversalCounter.
-    if name == "BFSCounter":
-        from repro import counters
-
-        return counters.BFSCounter
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -38,7 +38,6 @@ from repro.graph.engine import UNREACHED, engine_for, gather_csr_arcs
 
 __all__ = [
     "UNREACHED",
-    "BFSCounter",
     "TraversalCounter",
     "bfs_distances",
     "bfs_distances_bounded",
@@ -47,18 +46,6 @@ __all__ = [
     "multi_source_bfs",
     "all_pairs_distances",
 ]
-
-
-def __getattr__(name: str) -> object:
-    # Deprecated re-export: the cost meter moved to repro.counters and
-    # was renamed TraversalCounter; forwarding through the alias keeps
-    # `from repro.graph.traversal import BFSCounter` working while the
-    # DeprecationWarning (emitted by repro.counters) flags the call site.
-    if name == "BFSCounter":
-        from repro import counters
-
-        return counters.BFSCounter
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _expand_frontier(graph: Graph, frontier: np.ndarray) -> np.ndarray:

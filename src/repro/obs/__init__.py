@@ -19,8 +19,8 @@ The observability layer of the solver stack, in three pieces:
     callback): an in-process sink rendering resolved count, bound-gap
     mass, traversal rate, and an ETA from the event stream.
 :mod:`repro.obs.benchguard`
-    The benchmark regression gate (``repro bench check`` /
-    ``python tools/benchguard``): parses every committed
+    The benchmark regression gate (``repro bench check``): parses
+    every committed
     ``BENCH_*.json`` artifact, checks its recorded claims, and
     compares fresh smoke runs against baselines with a tolerance.
 """

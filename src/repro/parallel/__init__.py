@@ -2,11 +2,12 @@
 
 ``repro.parallel`` is the ``backend="process"`` implementation selected
 on :class:`repro.core.oracles.BFSOracle`, the solver constructors and
-the CLI: the graph's CSR is published once into shared memory
-(:mod:`repro.parallel.shm`), a persistent per-graph worker pool maps it
-zero-copy (:mod:`repro.parallel.pool`), and batched traversal entry
-points fan out across workers while single probes stay in-process
-(:mod:`repro.parallel.oracle`).  Results are bit-identical to the numpy
+the CLI.  The graph is published once in the ``.rcsr`` byte layout of
+:mod:`repro.store.format` — its store file, or the same container image
+in a shared-memory segment (:mod:`repro.parallel.shm`).  A persistent
+per-graph worker pool maps it zero-copy (:mod:`repro.parallel.pool`),
+and batched traversal entry points fan out across workers while single
+probes stay in-process (:mod:`repro.parallel.oracle`).  Results are bit-identical to the numpy
 backend — parallelism changes speed, never answers.
 """
 

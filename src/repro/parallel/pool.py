@@ -2,7 +2,8 @@
 
 This is the engine room of the ``backend="process"`` seam: a
 :class:`TraversalPool` owns ``W`` long-lived worker processes that each
-attach the shared-memory CSR published by :mod:`repro.parallel.shm` and
+attach the graph published by :mod:`repro.parallel.shm` (a ``.rcsr``
+store file or the same container image in a shared-memory segment) and
 build one pooled :class:`repro.graph.engine.BFSEngine` at startup (the
 warm-up), so every subsequent batch pays only task pickling — never
 graph transfer, never workspace allocation.
@@ -49,6 +50,9 @@ are daemons; they also translate ``SIGTERM`` into a clean
 ``SystemExit`` so their ``finally`` blocks close attached segments).
 Segment names created here are additionally covered by the stdlib
 resource tracker, so even a hard-killed parent leaks no shared memory.
+A worker that dies (say, SIGKILLed) closes the pool: the next dispatch
+raises :class:`~repro.errors.ParallelBackendError`, and :func:`pool_for`
+then starts a fresh pool.
 
 Single probes never cross the process boundary — one BFS is far
 cheaper than its IPC round-trip — which is why the solver's sequential
@@ -392,7 +396,8 @@ def _worker_main(
     finally:
         if out_segment is not None:
             out_segment.close()
-        graph_segment.close()
+        if graph_segment is not None:
+            graph_segment.close()
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +463,13 @@ def _release_resources(resources: _PoolResources) -> None:
 
 
 class TraversalPool:
-    """``W`` warm worker processes bound to one shared-memory graph.
+    """``W`` warm worker processes bound to one published graph.
 
     Parameters
     ----------
     graph:
         The (immutable) graph to publish.  The pool does **not** retain
-        a reference — workers hold their own shared-memory views — so a
+        a reference — workers hold their own zero-copy views — so a
         pool in the weak registry never pins its graph alive.
     workers:
         Process count; ``None`` uses every usable core.
@@ -502,7 +507,7 @@ class TraversalPool:
         )
         ctx = _mp_context()
         # Store-backed graphs publish as a file reference (workers map
-        # the .rcsr pages); in-memory graphs copy into a segment.
+        # the .rcsr pages); in-memory graphs are encoded into a segment.
         self._resources.graph_share = shm_mod.publish_graph(graph)
         self._resources.task_queue = ctx.SimpleQueue()
         self._resources.result_queue = ctx.Queue()
@@ -565,24 +570,29 @@ class TraversalPool:
             try:
                 return tuple(result_queue.get(timeout=_POLL_SECONDS))
             except queue_mod.Empty:
-                dead = [
-                    proc
-                    for proc in self._resources.processes
-                    if not proc.is_alive()
-                ]
-                if dead:
-                    codes = ", ".join(
-                        f"{proc.name}={proc.exitcode}" for proc in dead
-                    )
-                    self.close()
-                    raise ParallelBackendError(
-                        f"worker process(es) died mid-dispatch: {codes}"
-                    ) from None
+                self._check_workers()
                 if watch.elapsed() > timeout:
                     self.close()
                     raise ParallelBackendError(
                         "timed out waiting for worker results"
                     ) from None
+
+    def _check_workers(self) -> None:
+        """Close the pool and raise if any worker process has died.
+
+        Checked before every dispatch and on every idle poll while
+        waiting: a survivor may otherwise serve a whole batch for a dead
+        sibling, or wait forever on a queue lock the dead one held.
+        """
+        dead = [
+            proc for proc in self._resources.processes if not proc.is_alive()
+        ]
+        if dead:
+            codes = ", ".join(f"{proc.name}={proc.exitcode}" for proc in dead)
+            self.close()
+            raise ParallelBackendError(
+                f"worker process(es) died: {codes}"
+            ) from None
 
     # -- dispatch -------------------------------------------------------
     def _check_sources(self, sources: Sequence[int]) -> np.ndarray:
@@ -735,6 +745,7 @@ class TraversalPool:
         """
         if self.closed:
             raise ParallelBackendError("pool is closed")
+        self._check_workers()
         shape = (len(src),) + row_shape
         result = np.empty(shape, dtype=np.dtype(dtype))
         if len(src) == 0:
@@ -948,6 +959,7 @@ class TraversalPool:
         self._require_directed()
         if self.closed:
             raise ParallelBackendError("pool is closed")
+        self._check_workers()
         src = self._check_sources([source])
         n = self.num_vertices
         shape = (2, n)

@@ -1,53 +1,47 @@
-"""Zero-copy graph publication over ``multiprocessing.shared_memory``.
+"""Graph publication and result buffers for the process backend.
 
 The process backend (:mod:`repro.parallel.pool`) fans batched traversals
 out across worker processes.  Shipping a 50M-edge CSR through a pickle
 per worker would dwarf the traversals themselves, so the graph crosses
-the process boundary exactly once, as named shared memory:
+the process boundary exactly once, and always in one byte layout: the
+``.rcsr`` container of :mod:`repro.store.format`.
 
-* the parent *publishes* the graph — every CSR array is copied
-  back-to-back into one :class:`multiprocessing.shared_memory.\
-SharedMemory` segment, described by a small picklable
-  :class:`SharedGraphSpec` (segment name + per-array offsets, shapes,
-  dtypes);
-* each worker *attaches* — it maps the same segment and rebuilds the
-  graph object as read-only numpy views over the mapped buffer.  No
-  bytes are copied, no validation re-runs, and the views are frozen
-  with the same :func:`repro.sanitize.freeze` labels the constructors
-  use, so workers inherit the full CSR-immutability discipline
-  (reprolint R1, Theorem 4.5's shared ``O(m + n)`` layout).
+* A graph opened from the binary store (its :func:`repro.store.format.\
+source_of` registration is live) publishes its file path.  Workers map
+  the same file, so the OS page cache is the shared memory and nothing
+  is copied anywhere.
+* Any other graph is encoded once by :func:`repro.store.format.\
+encode_store` into an auto-named :class:`multiprocessing.shared_memory.\
+SharedMemory` segment holding exactly the bytes ``save_store`` would
+  write: header and digest, then the aligned slots.
 
-All three graph flavours publish the same way: :class:`~repro.graph.\
-csr.Graph` (``indptr``/``indices``/``degrees``), :class:`~repro.\
-weighted.graph.WeightedGraph` (plus ``weights``) and :class:`~repro.\
-directed.graph.DirectedGraph` (forward + reverse CSR pairs).  Only the
-unweighted oracle currently dispatches batches, but the weighted and
-directed layouts keep the seam ready for their backends.
+Either way the picklable :class:`SharedGraphSpec` is just a file path
+or a segment name, and every worker rebuilds its graph on one path:
+the store's header validation followed by
+:func:`repro.store.format.graph_from_arrays`, which installs frozen
+zero-copy views (reprolint R1, Theorem 4.5's shared ``O(m + n)``
+layout).  This module never encodes or decodes CSR bytes itself.
 
-Attached segments are *borrowed*: the worker closes its handle on
+Segments are *borrowed* by workers: a worker closes its handle on
 shutdown, and only the publishing parent ever unlinks the name.  The
-module guards every entry point behind :func:`shared_memory_available`
-so platforms without POSIX/Windows shared memory degrade to a clean
-error instead of an import crash.
-
-Graphs opened from the binary store (:mod:`repro.store`) skip the
-segment entirely: :func:`publish_graph` notices the backing ``.rcsr``
-file and ships only its path + slot offsets, and workers ``np.memmap``
-the same file — the OS page cache is the shared memory, and nothing is
-copied anywhere.
+segment is registered with the stdlib resource tracker, so a publisher
+killed outright still leaks nothing.  The same module hands out the
+writable result segments the pool's workers fill (:func:`create_segment`,
+:func:`attach_array`).  Every entry point is guarded by
+:func:`shared_memory_available`, so platforms without POSIX/Windows
+shared memory degrade to a clean error instead of an import crash.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
-from repro import sanitize
-from repro.errors import ParallelBackendError
-from repro.graph.csr import Graph
+from repro.errors import ParallelBackendError, StoreFormatError
+from repro.store import format as store_format
 
 try:  # pragma: no cover - import guard exercised only on exotic platforms
     from multiprocessing import shared_memory as _shared_memory
@@ -64,10 +58,6 @@ __all__ = [
     "create_segment",
     "publish_graph",
 ]
-
-#: Byte alignment of each array inside the shared segment; numpy only
-#: needs itemsize alignment but 64 keeps rows cache-line clean.
-_ALIGN = 64
 
 
 def shared_memory_available() -> bool:
@@ -100,24 +90,14 @@ class ArraySpec:
 
 @dataclass(frozen=True)
 class SharedGraphSpec:
-    """Everything a worker needs to rebuild a graph from shared memory.
+    """Where a worker finds a published graph's ``.rcsr`` bytes.
 
-    ``kind`` selects the rebuild recipe (``"graph"``, ``"weighted"``,
-    ``"directed"``); ``arrays`` locates each frozen CSR array inside the
-    segment called ``segment`` — or, when ``path`` is set, inside the
-    ``.rcsr`` store file at that path (``segment`` is then empty and the
-    worker maps the file read-only instead of opening a segment).
+    Exactly one field is set: ``path`` names a store file, ``segment``
+    a shared-memory segment holding a container image.
     """
 
-    segment: str
-    kind: str
-    num_vertices: int
-    arrays: Tuple[ArraySpec, ...]
+    segment: str = ""
     path: Optional[str] = None
-
-
-def _pad(nbytes: int) -> int:
-    return (nbytes + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
 def _ensure_resource_tracker() -> None:
@@ -140,8 +120,8 @@ def attach_array(segment: Any, spec: ArraySpec) -> np.ndarray:
     """A writable numpy view of ``spec`` inside an attached ``segment``.
 
     The view aliases the mapped buffer directly — mutating it mutates
-    the shared bytes.  Graph attachment freezes these views; result
-    buffers (:mod:`repro.parallel.pool`) keep them writable.
+    the shared bytes.  Result buffers (:mod:`repro.parallel.pool`) are
+    written through these views.
     """
     return np.ndarray(
         spec.shape,
@@ -151,175 +131,13 @@ def attach_array(segment: Any, spec: ArraySpec) -> np.ndarray:
     )
 
 
-def _layout(arrays: Dict[str, np.ndarray]) -> Tuple[List[ArraySpec], int]:
-    """Back-to-back aligned layout for ``arrays``; returns specs + size."""
-    specs: List[ArraySpec] = []
-    offset = 0
-    for key, array in arrays.items():
-        contiguous = np.ascontiguousarray(array)
-        specs.append(
-            ArraySpec(
-                key=key,
-                offset=offset,
-                shape=tuple(int(s) for s in contiguous.shape),
-                dtype=contiguous.dtype.name,
-            )
-        )
-        offset += _pad(contiguous.nbytes)
-    return specs, offset
-
-
-# ---------------------------------------------------------------------------
-# Per-kind extract / rebuild recipes
-# ---------------------------------------------------------------------------
-def _extract_graph(graph: Graph) -> Dict[str, np.ndarray]:
-    return {
-        "indptr": graph.indptr,
-        "indices": graph.indices,
-        "degrees": graph.degrees,
-    }
-
-
-def _degrees_view(views: Dict[str, np.ndarray]) -> np.ndarray:
-    """The published ``degrees`` array, or a derived one.
-
-    Segment publications ship degrees; ``.rcsr`` store files do not
-    (they are derivable), so file-backed attach recomputes the ``O(n)``
-    diff instead of failing.
-    """
-    degrees = views.get("degrees")
-    if degrees is None:
-        degrees = np.diff(views["indptr"])
-    return degrees
-
-
-def _rebuild_graph(views: Dict[str, np.ndarray], num_vertices: int) -> Graph:
-    """A :class:`Graph` whose CSR arrays alias shared memory, zero-copy.
-
-    Bypasses ``Graph.__init__`` (the arrays were validated when the
-    parent built the original graph; re-validating per worker would be
-    ``O(m)`` per process) and installs the frozen views directly — this
-    module is on the reprolint R1 constructor allowlist for exactly
-    this assignment.
-    """
-    graph = Graph.__new__(Graph)
-    graph._indptr = sanitize.freeze(views["indptr"], "Graph.indptr")
-    graph._indices = sanitize.freeze(views["indices"], "Graph.indices")
-    graph._degrees = sanitize.freeze(_degrees_view(views), "Graph.degrees")
-    return graph
-
-
-def _extract_weighted(graph: Any) -> Dict[str, np.ndarray]:
-    return {
-        "indptr": graph.indptr,
-        "indices": graph.indices,
-        "weights": graph.weights,
-        "degrees": graph.degrees,
-    }
-
-
-def _rebuild_weighted(views: Dict[str, np.ndarray], num_vertices: int) -> Any:
-    from repro.weighted.graph import WeightedGraph
-
-    graph = WeightedGraph.__new__(WeightedGraph)
-    graph._indptr = sanitize.freeze(views["indptr"], "WeightedGraph.indptr")
-    graph._indices = sanitize.freeze(views["indices"], "WeightedGraph.indices")
-    graph._weights = sanitize.freeze(views["weights"], "WeightedGraph.weights")
-    graph._degrees = sanitize.freeze(
-        _degrees_view(views), "WeightedGraph.degrees"
-    )
-    return graph
-
-
-def _extract_directed(graph: Any) -> Dict[str, np.ndarray]:
-    fwd_indptr, fwd_indices = graph.forward_view()
-    rev_indptr, rev_indices = graph.backward_view()
-    return {
-        "fwd_indptr": fwd_indptr,
-        "fwd_indices": fwd_indices,
-        "rev_indptr": rev_indptr,
-        "rev_indices": rev_indices,
-    }
-
-
-def _rebuild_directed(views: Dict[str, np.ndarray], num_vertices: int) -> Any:
-    from repro.directed.graph import DirectedGraph
-
-    graph = DirectedGraph.__new__(DirectedGraph)
-    graph._fwd_indptr = sanitize.freeze(
-        views["fwd_indptr"], "DirectedGraph.fwd_indptr"
-    )
-    graph._fwd_indices = sanitize.freeze(
-        views["fwd_indices"], "DirectedGraph.fwd_indices"
-    )
-    graph._rev_indptr = sanitize.freeze(
-        views["rev_indptr"], "DirectedGraph.rev_indptr"
-    )
-    graph._rev_indices = sanitize.freeze(
-        views["rev_indices"], "DirectedGraph.rev_indices"
-    )
-    return graph
-
-
-_EXTRACTORS: Dict[str, Callable[[Any], Dict[str, np.ndarray]]] = {
-    "graph": _extract_graph,
-    "weighted": _extract_weighted,
-    "directed": _extract_directed,
-}
-
-_REBUILDERS: Dict[str, Callable[[Dict[str, np.ndarray], int], Any]] = {
-    "graph": _rebuild_graph,
-    "weighted": _rebuild_weighted,
-    "directed": _rebuild_directed,
-}
-
-
-#: Store slot name -> rebuild view name, per kind.  The ``.rcsr``
-#: format names the forward CSR pair plainly; the directed rebuilder
-#: wants the fwd_/rev_ split.
-_STORE_KEY_MAP: Dict[str, Dict[str, str]] = {
-    "graph": {"indptr": "indptr", "indices": "indices"},
-    "weighted": {
-        "indptr": "indptr",
-        "indices": "indices",
-        "weights": "weights",
-    },
-    "directed": {
-        "indptr": "fwd_indptr",
-        "indices": "fwd_indices",
-        "rev_indptr": "rev_indptr",
-        "rev_indices": "rev_indices",
-    },
-}
-
-
-class _FileMapping:
-    """Stand-in for the segment handle on the file-backed attach path.
-
-    Each memmap view owns its own mapping of the store file; there is
-    no shared handle to close, so :meth:`close` only drops the
-    references (the OS unmaps when the arrays are garbage-collected).
-    Mirrors the ``segment.close()`` contract workers already follow.
-    """
-
-    def __init__(self, views: Dict[str, np.ndarray]) -> None:
-        self._views: Optional[Dict[str, np.ndarray]] = views
-
-    def close(self) -> None:
-        self._views = None
-
-
 class SharedGraph:
-    """Owner side of one published graph: segment + picklable spec.
+    """Owner side of one published graph: segment (if any) + spec.
 
-    Create with :meth:`publish` (or the weighted/directed variants);
-    hand :attr:`spec` to workers; call :meth:`unlink` exactly once when
-    the last worker is gone.  Usable as a context manager.
-
-    A graph that already lives in a ``.rcsr`` store file publishes with
-    :meth:`publish_store` instead: the spec carries the file path, no
-    segment is created, and :meth:`unlink` is a no-op (the store file
-    outlives the pool by design).
+    Create with :func:`publish_graph`; hand :attr:`spec` to workers;
+    call :meth:`unlink` exactly once when the last worker is gone.
+    Usable as a context manager.  A store-backed publication owns no
+    segment, and :meth:`unlink` leaves the store file alone.
     """
 
     def __init__(self, segment: Any, spec: SharedGraphSpec) -> None:
@@ -327,75 +145,6 @@ class SharedGraph:
         self.spec = spec
         self._released = False
 
-    # -- publication ----------------------------------------------------
-    @classmethod
-    def _publish_kind(cls, kind: str, graph: Any, n: int) -> "SharedGraph":
-        arrays = _EXTRACTORS[kind](graph)
-        specs, total = _layout(arrays)
-        segment = create_segment(total)
-        spec = SharedGraphSpec(
-            segment=segment.name,
-            kind=kind,
-            num_vertices=n,
-            arrays=tuple(specs),
-        )
-        for array_spec in specs:
-            attach_array(segment, array_spec)[...] = arrays[array_spec.key]
-        return cls(segment, spec)
-
-    @classmethod
-    def publish(cls, graph: Graph) -> "SharedGraph":
-        """Publish an unweighted :class:`Graph` (CSR + degrees)."""
-        return cls._publish_kind("graph", graph, graph.num_vertices)
-
-    @classmethod
-    def publish_weighted(cls, graph: Any) -> "SharedGraph":
-        """Publish a :class:`~repro.weighted.graph.WeightedGraph`."""
-        return cls._publish_kind("weighted", graph, graph.num_vertices)
-
-    @classmethod
-    def publish_directed(cls, graph: Any) -> "SharedGraph":
-        """Publish a :class:`~repro.directed.graph.DirectedGraph`."""
-        return cls._publish_kind("directed", graph, graph.num_vertices)
-
-    @classmethod
-    def publish_store(cls, info: Any) -> "SharedGraph":
-        """Publish a graph that already lives in a ``.rcsr`` store file.
-
-        ``info`` is a :class:`repro.store.format.StoreInfo`.  No bytes
-        move at all — the spec just names the file and its slot
-        offsets, and every worker maps the same pages the parent
-        already has (OS page-cache sharing instead of a second
-        shared-memory copy of the CSR).
-        """
-        # A segment publication starts the multiprocessing resource
-        # tracker as a side effect of creating the segment; the
-        # file-backed path creates nothing, so start it explicitly.
-        # Workers forked afterwards then inherit the parent's tracker
-        # and their lazy result-segment attaches register with it,
-        # instead of each worker spawning a private tracker that later
-        # complains about names the parent already unlinked.
-        _ensure_resource_tracker()
-        key_map = _STORE_KEY_MAP[info.kind]
-        specs = tuple(
-            ArraySpec(
-                key=key_map[entry.key],
-                offset=entry.offset,
-                shape=(entry.length,),
-                dtype=entry.dtype,
-            )
-            for entry in info.arrays
-        )
-        spec = SharedGraphSpec(
-            segment="",
-            kind=info.kind,
-            num_vertices=info.num_vertices,
-            arrays=specs,
-            path=str(info.path),
-        )
-        return cls(None, spec)
-
-    # -- lifecycle ------------------------------------------------------
     @property
     def name(self) -> str:
         """The shared segment's system-wide name (or the store path)."""
@@ -428,12 +177,41 @@ class SharedGraph:
         self.unlink()
 
 
-def attach(spec: SharedGraphSpec) -> Tuple[Any, Any]:
-    """Worker side: map ``spec``'s segment and rebuild the graph.
+def publish_graph(graph: Any) -> SharedGraph:
+    """Publish ``graph`` for worker processes as ``.rcsr`` bytes.
 
-    Returns ``(graph, segment)``.  The caller owns the segment handle
-    and must ``segment.close()`` when done — the graph's arrays alias
-    the mapping and die with it.
+    A store-backed graph publishes its file path and copies nothing.
+    Anything else is encoded into a fresh shared-memory segment; the
+    ``O(m)`` content digest is the only work beyond the copy.
+    """
+    info = store_format.source_of(graph)
+    if info is not None and os.path.exists(info.path):
+        # Creating a segment starts the resource tracker as a side
+        # effect; the file path creates nothing, so start it here.
+        # Workers forked afterwards inherit the parent's tracker, and
+        # their result-segment attaches register with it instead of a
+        # private tracker that would later report names the parent
+        # already unlinked as leaks.
+        _ensure_resource_tracker()
+        return SharedGraph(None, SharedGraphSpec(path=str(info.path)))
+    image = store_format.encode_store(graph)
+    segment = create_segment(image.nbytes)
+    share = SharedGraph(segment, SharedGraphSpec(segment=segment.name))
+    try:
+        for offset, chunk in image.chunks():
+            segment.buf[offset: offset + len(chunk)] = chunk
+    except BaseException:
+        share.unlink()
+        raise
+    return share
+
+
+def attach(spec: SharedGraphSpec) -> Tuple[Any, Any]:
+    """Worker side: rebuild the published graph over its ``.rcsr`` bytes.
+
+    Returns ``(graph, segment)``; ``segment`` is ``None`` for a store
+    file.  The caller owns a returned segment handle and must
+    ``segment.close()`` when done, since the graph's arrays alias it.
 
     A note on the CPython resource tracker: attaching registers the
     name with the tracker just like creating does (bpo-38119).  Pool
@@ -444,10 +222,16 @@ def attach(spec: SharedGraphSpec) -> Tuple[Any, Any]:
     exit.  Attaching from an unrelated process (not a descendant of the
     publisher) is outside this module's contract.
     """
-    if spec.kind not in _REBUILDERS:
-        raise ParallelBackendError(f"unknown shared-graph kind {spec.kind!r}")
     if spec.path is not None:
-        return _attach_file(spec)
+        try:
+            info = store_format.read_info(spec.path)
+            views = store_format.map_store_arrays(info)
+            return store_format.graph_from_arrays(info, views), None
+        except (OSError, ValueError, StoreFormatError) as exc:
+            raise ParallelBackendError(
+                f"store file {spec.path!r} has vanished or is damaged "
+                f"(publisher's store deleted?): {exc}"
+            ) from exc
     shm = _require_shared_memory()
     try:
         segment = shm.SharedMemory(name=spec.segment)
@@ -456,54 +240,16 @@ def attach(spec: SharedGraphSpec) -> Tuple[Any, Any]:
             f"shared graph segment {spec.segment!r} has vanished "
             "(publisher gone?)"
         ) from exc
-    views = {a.key: attach_array(segment, a) for a in spec.arrays}
-    graph = _REBUILDERS[spec.kind](views, spec.num_vertices)
-    return graph, segment
-
-
-def _attach_file(spec: SharedGraphSpec) -> Tuple[Any, Any]:
-    """Map a file-backed spec's store file and rebuild the graph.
-
-    Every array maps its own read-only window of the ``.rcsr`` file; the
-    OS shares the backing pages with the publisher and every sibling
-    worker, so this is as zero-copy as the segment path without any
-    segment lifetime to manage.
-    """
     try:
-        views = {
-            a.key: np.memmap(
-                spec.path,
-                dtype=np.dtype(a.dtype),
-                mode="r",
-                offset=a.offset,
-                shape=a.shape,
-            )
-            for a in spec.arrays
-        }
-    except (OSError, ValueError) as exc:
+        info = store_format.parse_header(
+            bytes(segment.buf[: store_format.HEADER_SIZE]),
+            segment.size,
+            f"segment {spec.segment}",
+        )
+        views = store_format.image_arrays(info, segment.buf)
+        return store_format.graph_from_arrays(info, views), segment
+    except StoreFormatError as exc:
+        segment.close()
         raise ParallelBackendError(
-            f"store file {spec.path!r} has vanished or shrunk "
-            f"(publisher's store deleted?): {exc}"
+            f"shared graph segment {spec.segment!r} is damaged: {exc}"
         ) from exc
-    graph = _REBUILDERS[spec.kind](views, spec.num_vertices)
-    return graph, _FileMapping(views)
-
-
-def publish_graph(graph: Any) -> SharedGraph:
-    """Publish ``graph`` the cheapest way available.
-
-    A graph opened from the binary store (its :func:`repro.store.format.
-    source_of` registration is live) publishes as a file reference —
-    workers map the store file and no second copy of the CSR is made.
-    Anything else falls back to copying into a shared-memory segment.
-    """
-    from repro.store.format import source_of
-
-    info = source_of(graph)
-    if info is not None and os.path.exists(info.path):
-        return SharedGraph.publish_store(info)
-    if hasattr(graph, "forward_view"):
-        return SharedGraph.publish_directed(graph)
-    if getattr(graph, "weights", None) is not None:
-        return SharedGraph.publish_weighted(graph)
-    return SharedGraph.publish(graph)

@@ -43,6 +43,13 @@ Versioning rules: readers reject any file whose ``version`` is newer
 than :data:`STORE_VERSION`; additive changes (new slot, new flag bit)
 bump the version and stay readable by tolerating unknown trailing slots
 only if a future revision defines them — v1 readers are strict.
+
+The same bytes also travel without a file.  :func:`encode_store` builds
+the container image that :func:`save_store` writes; the process backend
+(:mod:`repro.parallel.shm`) copies it into a shared-memory segment
+instead, and workers read it back with :func:`parse_header` and
+:func:`image_arrays`.  This module is therefore the only place that
+encodes or decodes graph bytes.
 """
 
 from __future__ import annotations
@@ -51,9 +58,9 @@ import os
 import struct
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -70,9 +77,13 @@ __all__ = [
     "SUFFIX",
     "StoreArray",
     "StoreInfo",
+    "StoreImage",
+    "encode_store",
     "save_store",
     "read_info",
+    "parse_header",
     "map_store_arrays",
+    "image_arrays",
     "graph_from_arrays",
     "open_store",
     "verify_store",
@@ -85,7 +96,8 @@ PathLike = Union[str, os.PathLike]
 MAGIC = b"\x93RCSR\r\n\x00"
 STORE_VERSION = 1
 HEADER_SIZE = 512
-#: Payload alignment in bytes (matches the shared-memory layout).
+#: Payload alignment in bytes: cache-line clean, and every slot's
+#: offset is a multiple of its dtype's itemsize.
 ALIGN = 64
 #: Canonical file suffix for store containers.
 SUFFIX = ".rcsr"
@@ -199,13 +211,39 @@ def _extract_arrays(graph: Any, kind: str) -> Dict[str, np.ndarray]:
     }
 
 
-def save_store(graph: Any, path: PathLike) -> StoreInfo:
-    """Write ``graph`` as a ``.rcsr`` v1 container at ``path``.
+@dataclass(frozen=True)
+class StoreImage:
+    """A graph encoded as a ``.rcsr`` container, not yet written anywhere.
+
+    :meth:`chunks` yields the header and each slot payload at its byte
+    offset; the gaps between them are zero padding.  :func:`save_store`
+    streams the chunks into a file, and the process backend copies them
+    into a shared-memory segment — both end up holding the same bytes.
+    """
+
+    info: StoreInfo
+    header: bytes
+    payloads: Tuple[np.ndarray, ...]
+
+    @property
+    def nbytes(self) -> int:
+        """Total container size in bytes."""
+        return self.info.file_bytes
+
+    def chunks(self) -> Iterator[Tuple[int, memoryview]]:
+        """``(offset, bytes)`` pairs in ascending offset order."""
+        yield 0, memoryview(self.header)
+        for entry, array in zip(self.info.arrays, self.payloads):
+            yield entry.offset, memoryview(array).cast("B")
+
+
+def encode_store(graph: Any) -> StoreImage:
+    """Encode ``graph`` as a ``.rcsr`` v1 container image.
 
     Works on all three graph flavours (:class:`~repro.graph.csr.Graph`,
-    ``WeightedGraph``, ``DirectedGraph``).  The write goes through a
-    same-directory temporary file followed by an atomic rename, so a
-    crashed save never leaves a half-written container behind.
+    ``WeightedGraph``, ``DirectedGraph``).  The payloads alias the
+    graph's own arrays wherever they are already contiguous; the only
+    ``O(m)`` work is the content digest.  ``info.path`` is empty.
     """
     kind = _kind_of(graph)
     arrays = _extract_arrays(graph, kind)
@@ -255,37 +293,47 @@ def save_store(graph: Any, path: PathLike) -> StoreInfo:
             )
         cursor += _SLOT.size
 
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(bytes(header))
-        position = HEADER_SIZE
-        for key in _SLOT_KEYS:
-            entry = slots.get(key)
-            if entry is None:
-                continue
-            handle.write(b"\x00" * (entry.offset - position))
-            handle.write(memoryview(arrays[key]))
-            position = entry.offset + entry.nbytes
-    os.replace(tmp, path)
-    return StoreInfo(
-        path=str(path),
+    present = [key for key in _SLOT_KEYS if key in slots]
+    info = StoreInfo(
+        path="",
         kind=kind,
         version=STORE_VERSION,
         flags=flags,
         num_vertices=int(graph.num_vertices),
         num_entries=slots["indices"].length,
         digest=digest,
-        arrays=tuple(slots[key] for key in _SLOT_KEYS if key in slots),
+        arrays=tuple(slots[key] for key in present),
+    )
+    return StoreImage(
+        info=info,
+        header=bytes(header),
+        payloads=tuple(arrays[key] for key in present),
     )
 
 
-def read_info(path: PathLike) -> StoreInfo:
-    """Parse and structurally validate the header of ``path``.
+def save_store(graph: Any, path: PathLike) -> StoreInfo:
+    """Write ``graph`` as a ``.rcsr`` v1 container at ``path``.
 
-    Reads :data:`HEADER_SIZE` bytes — never the payload — and checks
-    magic, version, kind/dtype codes, slot alignment, and that every
-    slot lies inside the file.
+    Encodes with :func:`encode_store`, then writes through a
+    same-directory temporary file followed by an atomic rename, so a
+    crashed save never leaves a half-written container behind.
+    """
+    image = encode_store(graph)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        for offset, chunk in image.chunks():
+            handle.write(b"\x00" * (offset - handle.tell()))
+            handle.write(chunk)
+    os.replace(tmp, path)
+    return replace(image.info, path=str(path))
+
+
+def read_info(path: PathLike) -> StoreInfo:
+    """Read and structurally validate the header of the file ``path``.
+
+    Reads :data:`HEADER_SIZE` bytes — never the payload — and hands them
+    to :func:`parse_header` together with the file size.
     """
     path = Path(path)
     try:
@@ -294,37 +342,49 @@ def read_info(path: PathLike) -> StoreInfo:
             raw = handle.read(HEADER_SIZE)
     except OSError as exc:
         raise StoreFormatError(f"{path}: cannot read store: {exc}") from exc
+    return parse_header(raw, size, str(path))
+
+
+def parse_header(raw: bytes, size: int, source: str) -> StoreInfo:
+    """Parse and structurally validate a container header.
+
+    ``raw`` holds the container's first :data:`HEADER_SIZE` bytes and
+    ``size`` its total length; ``source`` names the container in errors
+    and becomes :attr:`StoreInfo.path`.  Checks magic, version,
+    kind/dtype codes, slot alignment, that every slot lies inside the
+    container, and that slot lengths agree with the header.
+    """
     if len(raw) < HEADER_SIZE:
         raise StoreFormatError(
-            f"{path}: truncated header ({len(raw)} < {HEADER_SIZE} bytes)"
+            f"{source}: truncated header ({len(raw)} < {HEADER_SIZE} bytes)"
         )
     magic, version, flags, kind_code, n, entries, digest_raw = (
         _FIXED.unpack_from(raw, 0)
     )
     if magic != MAGIC:
         raise StoreFormatError(
-            f"{path}: not a .rcsr store (bad magic {magic!r})"
+            f"{source}: not a .rcsr store (bad magic {magic!r})"
         )
     if version > STORE_VERSION:
         raise StoreFormatError(
-            f"{path}: store version {version} is newer than this reader "
+            f"{source}: store version {version} is newer than this reader "
             f"(max {STORE_VERSION})"
         )
     if version < 1:
-        raise StoreFormatError(f"{path}: invalid store version {version}")
+        raise StoreFormatError(f"{source}: invalid store version {version}")
     kind = _KIND_NAMES.get(kind_code)
     if kind is None:
-        raise StoreFormatError(f"{path}: unknown kind code {kind_code}")
+        raise StoreFormatError(f"{source}: unknown kind code {kind_code}")
     if n < 0 or entries < 0:
         raise StoreFormatError(
-            f"{path}: negative sizes in header (n={n}, entries={entries})"
+            f"{source}: negative sizes in header (n={n}, entries={entries})"
         )
     try:
         digest = digest_raw.decode("ascii")
         int(digest, 16)
     except (UnicodeDecodeError, ValueError) as exc:
         raise StoreFormatError(
-            f"{path}: corrupt fingerprint field {digest_raw!r}"
+            f"{source}: corrupt fingerprint field {digest_raw!r}"
         ) from exc
 
     slots = []
@@ -337,28 +397,28 @@ def read_info(path: PathLike) -> StoreInfo:
         dtype = _DTYPE_NAMES.get(dtype_code)
         if dtype is None:
             raise StoreFormatError(
-                f"{path}: slot {key}: unknown dtype code {dtype_code}"
+                f"{source}: slot {key}: unknown dtype code {dtype_code}"
             )
         if dtype != _SLOT_DTYPES[key]:
             raise StoreFormatError(
-                f"{path}: slot {key}: dtype {dtype} does not match the "
+                f"{source}: slot {key}: dtype {dtype} does not match the "
                 f"canonical {_SLOT_DTYPES[key]}"
             )
         entry = StoreArray(key=key, dtype=dtype, offset=offset, length=length)
         if offset < HEADER_SIZE or offset % ALIGN or length < 0:
             raise StoreFormatError(
-                f"{path}: slot {key}: bad offset/length "
+                f"{source}: slot {key}: bad offset/length "
                 f"({offset}, {length})"
             )
         if offset + entry.nbytes > size:
             raise StoreFormatError(
-                f"{path}: slot {key}: payload extends past end of file "
+                f"{source}: slot {key}: payload extends past end of file "
                 f"({offset} + {entry.nbytes} > {size})"
             )
         slots.append(entry)
 
     info = StoreInfo(
-        path=str(path),
+        path=source,
         kind=kind,
         version=version,
         flags=flags,
@@ -415,6 +475,25 @@ def map_store_arrays(info: StoreInfo) -> Dict[str, np.ndarray]:
     return views
 
 
+def image_arrays(info: StoreInfo, buffer: Any) -> Dict[str, np.ndarray]:
+    """Views of every slot in ``info`` over an in-memory container.
+
+    ``buffer`` holds the bytes :func:`encode_store` produced (the process
+    backend keeps them in a shared-memory segment); each view aliases it
+    directly, so nothing is copied.  The views live only as long as the
+    buffer stays mapped.
+    """
+    return {
+        entry.key: np.ndarray(
+            (entry.length,),
+            dtype=np.dtype(entry.dtype),
+            buffer=buffer,
+            offset=entry.offset,
+        )
+        for entry in info.arrays
+    }
+
+
 def _check_indptr(info: StoreInfo, key: str, indptr: np.ndarray) -> None:
     """Monotonicity + endpoint checks on a mapped row-pointer array."""
     if len(indptr) == 0 or indptr[0] != 0:
@@ -430,9 +509,9 @@ def _check_indptr(info: StoreInfo, key: str, indptr: np.ndarray) -> None:
         )
 
 
-# reprolint R1: this module is on the CSR constructor allowlist — it
-# rebuilds frozen zero-copy graphs over mapped store pages, exactly like
-# the shared-memory attach site in repro.parallel.shm.
+# reprolint R1: this module is on the CSR constructor allowlist — it is
+# the one place that rebuilds frozen zero-copy graphs over foreign bytes
+# (mapped store pages, or a container image in shared memory).
 def graph_from_arrays(
     info: StoreInfo, views: Dict[str, np.ndarray]
 ) -> Any:

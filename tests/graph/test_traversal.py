@@ -194,31 +194,6 @@ class TestTraversalCounter:
         bfs_distances(path_graph(3), 2, counter=counter)
         assert counter.history == ["bfs:2"]
 
-
-class TestBFSCounterDeprecation:
-    """The old meter name survives as a warning-emitting alias."""
-
-    def test_counters_alias_warns_and_resolves(self):
-        import repro.counters as counters
-
-        with pytest.warns(DeprecationWarning, match="TraversalCounter"):
-            alias = counters.BFSCounter
-        assert alias is TraversalCounter
-
-    def test_graph_traversal_forwarder_warns(self):
-        import repro.graph.traversal as traversal
-
-        with pytest.warns(DeprecationWarning):
-            alias = traversal.BFSCounter
-        assert alias is TraversalCounter
-
-    def test_graph_package_forwarder_warns(self):
-        import repro.graph as graph_pkg
-
-        with pytest.warns(DeprecationWarning):
-            alias = graph_pkg.BFSCounter
-        assert alias is TraversalCounter
-
     def test_new_name_is_silent(self, recwarn):
         counter = TraversalCounter()
         counter.record(edges=1, vertices=1)

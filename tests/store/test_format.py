@@ -17,9 +17,11 @@ from repro.store.format import (
     MAGIC,
     STORE_VERSION,
     StoreInfo,
+    encode_store,
     graph_from_arrays,
     map_store_arrays,
     open_store,
+    parse_header,
     read_info,
     save_store,
     source_of,
@@ -185,6 +187,34 @@ class TestValidation:
     def test_missing_file_raises_store_error(self, tmp_path):
         with pytest.raises(StoreFormatError, match="cannot read"):
             read_info(tmp_path / "absent.rcsr")
+
+
+class TestImage:
+    def test_parse_header_rejects_corrupt_image(self):
+        """The bytes-level parser validates a container held in memory."""
+        image = encode_store(paper_example_graph())
+        buffer = bytearray(image.nbytes)
+        for offset, chunk in image.chunks():
+            buffer[offset: offset + len(chunk)] = chunk
+        info = parse_header(bytes(buffer), len(buffer), "img")
+        assert info.path == "img"
+        # A payload shorter than the slot table claims.
+        with pytest.raises(StoreFormatError, match="img: .*past end"):
+            parse_header(bytes(buffer), len(buffer) - 8, "img")
+        # A misaligned offset in the indices slot (the second 24-byte
+        # slot-table entry at byte 48; its offset field follows 8 bytes
+        # of dtype code and padding).
+        indices_offset_field = 48 + 24 + 8
+        assert struct.unpack_from("<q", buffer, indices_offset_field)[0] == (
+            info.array("indices").offset
+        )
+        struct.pack_into("<q", buffer, indices_offset_field, HEADER_SIZE + 4)
+        with pytest.raises(StoreFormatError, match="bad offset"):
+            parse_header(bytes(buffer), len(buffer), "img")
+        # Garbage where the magic belongs.
+        buffer[:8] = b"garbage!"
+        with pytest.raises(StoreFormatError, match="magic"):
+            parse_header(bytes(buffer), len(buffer), "img")
 
 
 class TestGoldenFixture:

@@ -1,4 +1,4 @@
-"""Benchmark regression gate (repro.obs.benchguard / tools/benchguard)."""
+"""Benchmark regression gate (repro.obs.benchguard / `repro bench`)."""
 
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from repro.obs.benchguard import (
     default_artifacts,
     format_findings,
     known_schemas,
-    main,
 )
+from repro.cli import main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -66,7 +66,7 @@ class TestCheckCommittedArtifacts:
         assert findings and not failures, failures
 
     def test_cli_check_exits_zero_on_repo(self, capsys):
-        assert main(["check", "--root", str(REPO_ROOT)]) == 0
+        assert cli_main(["bench", "check", "--root", str(REPO_ROOT)]) == 0
         out = capsys.readouterr().out
         assert "0 failure(s)" in out
 
@@ -167,7 +167,7 @@ class TestCompare:
             tmp_path, "fresh.json", _msbfs_doc(ecc_speedup=1.0)
         )
         base = _write(tmp_path, "base.json", _msbfs_doc(ecc_speedup=3.0))
-        assert main(["compare", fresh, base]) == 1
+        assert cli_main(["bench", "compare", fresh, base]) == 1
         assert "FAIL" in capsys.readouterr().out
 
 
@@ -188,11 +188,3 @@ class TestFormatting:
         text = format_findings(self._findings(), "github")
         assert "::notice title=benchguard BENCH_a.json::all good" in text
         assert "::error title=benchguard BENCH_b.json::regressed" in text
-
-
-class TestToolShim:
-    def test_tools_package_reexports_gate(self):
-        import benchguard as tool  # resolved via tests/tools conftest
-
-        assert tool.main is main
-        assert tool.Headline is Headline

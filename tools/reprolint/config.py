@@ -45,10 +45,9 @@ CSR_MUTATION_ALLOWLIST = frozenset(
         "src/repro/graph/csr.py",
         "src/repro/directed/graph.py",
         "src/repro/weighted/graph.py",
-        # Rebuilds frozen zero-copy graph views on shared-memory attach;
-        # a constructor in everything but name.
-        "src/repro/parallel/shm.py",
-        # Same pattern over mmap'd .rcsr store pages (graph_from_arrays).
+        # Rebuilds frozen zero-copy graphs over .rcsr bytes — mapped
+        # store pages or a shared-memory image (graph_from_arrays); a
+        # constructor in everything but name.
         "src/repro/store/format.py",
     }
 )
