@@ -4,7 +4,12 @@ First point of the repo's perf trajectory: times the direction-optimizing
 pooled-workspace :class:`repro.graph.engine.BFSEngine` against (a) a
 faithful copy of the seed level-synchronous kernel (per-run allocation,
 ``np.unique`` frontier dedupe) and (b) the engine forced top-down, on the
-generator suite (paper example, random power-law, grid, star).  Writes
+generator suite (paper example, random power-law, grid, star).  Both
+engine contenders run the numpy level loop; a third, ``native``, times
+the same hybrid engine on the C kernel (:mod:`repro.graph.native`) when
+it is built, after checking its distances and run stats equal the numpy
+engine's.  The Barabási–Albert rows carry a ``caveat``: they are
+IFECC's worst case, so these are kernel micro-benchmarks.  Writes
 machine-readable ``BENCH_bfs_engine.json`` at the repository root with
 per-level direction decisions and edges-inspected counts, so Figure
 8-style runtime claims are auditable.  Alongside it the suite writes
@@ -159,22 +164,35 @@ def bench_graph(
     repeats: int,
 ) -> Dict[str, object]:
     """Time the three kernels on one graph and audit the hybrid runs."""
+    from bench_common import BA_CAVEAT, numpy_kernel
+    from repro.graph.native import kernels
+
     sources = pick_sources(graph, num_sources)
     # Dedicated engines so pooled buffers are warm but stats are ours.
     hybrid = BFSEngine(graph)
     topdown = BFSEngine(graph)
+    compiled = BFSEngine(graph) if kernels() is not None else None
 
     # Correctness audit + per-run direction/edge accounting (untimed).
     runs: List[Dict[str, object]] = []
     for s in sources:
         expected = seed_bfs_distances(graph, s)
-        got = hybrid.run(s, mode="hybrid")
+        with numpy_kernel():
+            got = hybrid.run(s, mode="hybrid")
         if not np.array_equal(expected, got):
             raise AssertionError(
                 f"hybrid BFS disagrees with seed kernel on {name}, "
                 f"source {s}"
             )
         stats = hybrid.last_stats
+        if compiled is not None and (
+            not np.array_equal(expected, compiled.run(s))
+            or compiled.last_stats != stats
+        ):
+            raise AssertionError(
+                f"native BFS disagrees with the numpy engine on {name}, "
+                f"source {s}"
+            )
         runs.append(
             {
                 "source": s,
@@ -188,9 +206,19 @@ def bench_graph(
         )
 
     seed_s = _time_total(lambda s: seed_bfs_distances(graph, s), sources, repeats)
-    td_s = _time_total(lambda s: topdown.run(s, mode="top-down"), sources, repeats)
-    hy_s = _time_total(lambda s: hybrid.run(s, mode="hybrid"), sources, repeats)
-    return {
+    with numpy_kernel():
+        td_s = _time_total(
+            lambda s: topdown.run(s, mode="top-down"), sources, repeats
+        )
+        hy_s = _time_total(
+            lambda s: hybrid.run(s, mode="hybrid"), sources, repeats
+        )
+    native_s = (
+        _time_total(lambda s: compiled.run(s), sources, repeats)
+        if compiled is not None
+        else None
+    )
+    entry: Dict[str, object] = {
         "name": name,
         "family": family,
         "num_vertices": graph.num_vertices,
@@ -202,8 +230,16 @@ def bench_graph(
         "hybrid_seconds": hy_s,
         "speedup_topdown_vs_seed": seed_s / td_s if td_s else float("inf"),
         "speedup_hybrid_vs_seed": seed_s / hy_s if hy_s else float("inf"),
+        "native_seconds": native_s,
+        "speedup_native_vs_hybrid": (
+            hy_s / native_s if native_s else None
+        ),
+        "speedup_native_vs_seed": seed_s / native_s if native_s else None,
         "runs": runs,
     }
+    if family == "random power-law":
+        entry["caveat"] = BA_CAVEAT
+    return entry
 
 
 def run_suite(
@@ -213,6 +249,7 @@ def run_suite(
     out_path: Path,
 ) -> Dict[str, object]:
     """Run every suite graph and write the JSON report."""
+    from bench_common import kernel_label
     from repro.graph.engine import ALPHA, BETA
 
     graphs = suite_graphs(smoke)
@@ -228,11 +265,17 @@ def run_suite(
             "hybrid {hybrid_seconds:.4f}s  (hybrid speedup "
             "{speedup_hybrid_vs_seed:.2f}x)".format(**entry)  # type: ignore[str-format]
         )
+        if entry["native_seconds"] is not None:
+            print(
+                f"  native {entry['native_seconds']:.4f}s  "
+                f"({entry['speedup_native_vs_hybrid']:.2f}x vs numpy hybrid)"
+            )
         results.append(entry)
     powerlaw = next(r for r in results if r["family"] == "random power-law")
     report: Dict[str, object] = {
         "schema": "bench_bfs_engine/v1",
         "mode": "smoke" if smoke else "full",
+        "kernel": kernel_label(),
         "alpha": ALPHA,
         "beta": BETA,
         "target_speedup": TARGET_SPEEDUP,
@@ -243,6 +286,9 @@ def run_suite(
             "hybrid_seconds": sum(r["hybrid_seconds"] for r in results),  # type: ignore[misc]
             "powerlaw_speedup_hybrid_vs_seed": powerlaw[
                 "speedup_hybrid_vs_seed"
+            ],
+            "powerlaw_speedup_native_vs_hybrid": powerlaw[
+                "speedup_native_vs_hybrid"
             ],
         },
     }
@@ -379,10 +425,14 @@ def run_shootout(
     best_speedup = max(
         (float(c.get("speedup_vs_hybrid", 0.0)) for c in configs), default=0.0
     )
+    from bench_common import BA_CAVEAT, kernel_label
+
     report: Dict[str, object] = {
         "schema": "bench_parallel_backend/v1",
         "mode": "smoke" if smoke else "full",
+        "kernel": kernel_label(),
         "graph": name,
+        "caveat": BA_CAVEAT,
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,
         "num_sources": int(len(sources)),

@@ -26,8 +26,9 @@ artifact CI uploads next to ``BENCH_bfs_engine.json``.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from repro.core.ifecc import IFECC, compute_eccentricities
 from repro.datasets.collection import default_collection
 from repro.datasets.registry import dataset_names, get_spec
 from repro.errors import BudgetExhaustedError
+from repro.graph import native
 from repro.graph.csr import Graph
 from repro.obs.record import RunRecord
 from repro.obs.trace import MemorySink, tracing
@@ -48,6 +50,14 @@ CUTOFF_SECONDS = 90.0
 
 #: BoundECC BFS cap implied by the cut-off (BFS cost ~ ms at our scale).
 BOUNDECC_MAX_BFS = 20_000
+
+#: Row caveat for Barabási–Albert graphs.  They are IFECC's worst case
+#: (BA-50k needs 35,912 traversals, about 0.72 n), so kernel timings on
+#: them are micro-benchmarks, not the paper's workload.
+BA_CAVEAT = (
+    "Barabasi-Albert graph: IFECC's worst case (~0.72 n traversals), "
+    "a kernel micro-benchmark, not the paper's workload"
+)
 
 _GRAPHS: Dict[str, Graph] = {}
 _TRUTH: Dict[str, np.ndarray] = {}
@@ -157,3 +167,21 @@ def geometric_mean(values) -> float:
     if len(values) == 0:
         return float("nan")
     return float(np.exp(np.mean(np.log(values))))
+
+
+def kernel_label() -> str:
+    """Which traversal kernel this process runs, for report headers."""
+    return native.kernel_info().label()
+
+
+@contextmanager
+def numpy_kernel() -> Iterator[None]:
+    """Run the engines on their numpy level loops inside the block.
+
+    Swaps the loaded native library out of :mod:`repro.graph.native`
+    (the engines consult it per run) and restores it on exit, so one
+    process can time both kernels.
+    """
+    info = native.KernelInfo("numpy", "pinned by the benchmark")
+    with native.pinned(None, info):
+        yield

@@ -17,7 +17,12 @@ suite shared with :mod:`bench_bfs_engine`:
 Both batch products are raced — the eccentricity reduction
 (``ecc_batch``, the headline) and the full ``(k, n)`` distance-rows
 product — and every contender's distances are asserted bit-identical to
-the seed kernels before anything is timed.  A width-scaling section
+the seed kernels before anything is timed.  Every contender runs on
+whichever traversal kernel :mod:`repro.graph.native` loaded (the report
+records it as ``kernel``); with the C kernel, ``loop-hybrid`` is the
+native single-source loop the lanes must beat.  The Barabási–Albert
+rows carry a ``caveat``: they are IFECC's worst case, so these are
+kernel micro-benchmarks.  A width-scaling section
 re-times the hybrid engine at 64/128/256-source batches to audit the
 lane-width planner's multi-word crossover.  Writes machine-readable
 ``BENCH_msbfs_engine.json`` at the repository root.
@@ -305,13 +310,17 @@ def run_suite(
             )
         )
         results.append(entry)
+    from bench_common import BA_CAVEAT, kernel_label
+
     powerlaw = next(r for r in results if r["family"] == "random power-law")
+    powerlaw["caveat"] = BA_CAVEAT
     powerlaw_graph = graphs[str(powerlaw["name"])][1]
     print(f"[bench_msbfs_engine] width scaling on {powerlaw['name']}:")
     scaling = bench_width_scaling(powerlaw_graph, str(powerlaw["name"]), repeats)
     report: Dict[str, object] = {
         "schema": "bench_msbfs_engine/v1",
         "mode": "smoke" if smoke else "full",
+        "kernel": kernel_label(),
         "alpha": ALPHA,
         "beta": BETA,
         "batch": BATCH,

@@ -122,9 +122,6 @@ class EccentricitySolver:
         self.memoize_distances = memoize_distances
         self.counter = counter if counter is not None else TraversalCounter()
         self._tracer = tracer
-        # Scratch for the traced-probe gap-mass reduction; see
-        # _finish_probe_span.
-        self._gap_buf: Optional[np.ndarray] = None
         self.bounds = BoundState(
             oracle.num_vertices,
             dtype=oracle.dtype,
@@ -177,9 +174,11 @@ class EccentricitySolver:
                 ffo.eccentricity,
                 sanitize.assert_owned(dist_into),
             )
-            snap = self._snapshot(z)
+            snap, gap_mass = self._snapshot(z, tracer.enabled)
             if tracer.enabled:
-                self._finish_probe_span(tracer, span, ffo.eccentricity, snap)
+                self._finish_probe_span(
+                    tracer, span, ffo.eccentricity, snap, gap_mass
+                )
             yield snap
 
         # Closest reference per vertex (by forward distance); ties go to
@@ -304,9 +303,11 @@ class EccentricitySolver:
                 dist_into_z, tail_radius, subset=unresolved
             )
             if fresh_probe:
-                snap = self._snapshot(source)
+                snap, gap_mass = self._snapshot(source, span is not None)
                 if span is not None:
-                    self._finish_probe_span(tracer, span, ecc_s, snap)
+                    self._finish_probe_span(
+                        tracer, span, ecc_s, snap, gap_mass
+                    )
                 yield snap
             unresolved = bounds.unresolved_subset(unresolved)
             if len(unresolved) == 0:
@@ -321,6 +322,7 @@ class EccentricitySolver:
         span: Any,
         ecc_value: Optional[float],
         snap: ProgressSnapshot,
+        gap_mass: Optional[float],
     ) -> None:
         """Attach post-traversal facts to a probe span and close it.
 
@@ -330,8 +332,10 @@ class EccentricitySolver:
         per-vertex ``upper - lower`` capped at the oracle's finite
         eccentricity bound (untouched vertices carry an infinity
         sentinel) and summed — the certificate-size signal the live
-        progress monitor plots.
+        progress monitor plots.  :meth:`_snapshot` computes it with the
+        resolved count, in the same pass over the bounds.
         """
+        assert gap_mass is not None
         remaining = snap.num_vertices - snap.resolved
         if ecc_value is None:
             ecc_out: Optional[float] = None
@@ -341,17 +345,6 @@ class EccentricitySolver:
                 if float(ecc_value).is_integer()
                 else float(ecc_value)
             )
-        buf = self._gap_buf
-        if buf is None or len(buf) != snap.num_vertices:
-            buf = self._gap_buf = np.empty(snap.num_vertices, np.float64)
-        # In-place fused equivalent of
-        # ``np.minimum(self.bounds.gap(), self.oracle.gap_cap()).sum()``
-        # — this runs once per traced traversal, and the temporaries the
-        # spelled-out form allocates are the single largest slice of the
-        # capture overhead budget enforced by bench_obs_overhead.
-        np.subtract(self.bounds.upper, self.bounds.lower, out=buf)
-        np.minimum(buf, self.oracle.gap_cap(), out=buf)
-        gap_mass = float(buf.sum())
         gap_out = int(gap_mass) if gap_mass.is_integer() else gap_mass
         span.set(
             ecc=ecc_out,
@@ -363,13 +356,21 @@ class EccentricitySolver:
         tracer.metrics.gauge("solver.unresolved").set(remaining)
         tracer.metrics.gauge("solver.gap_mass").set(gap_mass)
 
-    def _snapshot(self, source: int) -> ProgressSnapshot:
-        return ProgressSnapshot(
+    def _snapshot(
+        self, source: int, with_gap: bool = False
+    ) -> Tuple[ProgressSnapshot, Optional[float]]:
+        """The progress snapshot after a probe, plus the gap mass when
+        ``with_gap`` (traced probes) — ``None`` otherwise."""
+        resolved, gap_mass = self.bounds.progress(
+            self.oracle.gap_cap() if with_gap else None
+        )
+        snap = ProgressSnapshot(
             bfs_runs=self.counter.bfs_runs,
             source=source,
-            resolved=self.bounds.num_resolved(),
+            resolved=resolved,
             num_vertices=self.oracle.num_vertices,
         )
+        return snap, gap_mass
 
     # ------------------------------------------------------------------
     # Drivers

@@ -45,6 +45,19 @@ levels (which are never "scanned" in the top-down sense) are recorded
 in :class:`BFSRunStats` and surface through
 ``TraversalCounter.edges_inspected`` so cost accounting stays honest.
 
+**Two kernels, one behaviour.**  The level loop exists twice: the
+numpy loop below (:meth:`BFSEngine._levels`) and its C port in
+``_kernels.c`` (``repro_bfs``), which :mod:`repro.graph.native`
+compiles on first use and loads through ctypes.  Each run uses the C
+kernel when it is loaded and the numpy loop otherwise (no compiler, a
+failed build); nothing else selects between them.  The C loop makes the
+same per-level direction decisions and keeps the same accounting —
+including charging a bottom-up candidate its full degree even though
+the C probe stops at the first frontier hit — so distances,
+``last_ecc``, :class:`BFSRunStats`, counters and ``bfs.run`` events are
+identical under either kernel.  On the 50k power-law graph one hybrid
+BFS takes about 1 ms in C against 5 ms in numpy (2-core x86 VM).
+
 Use :func:`engine_for` to obtain the per-graph cached engine; the cache
 is keyed weakly so dropping the last reference to a graph frees its
 workspaces.
@@ -61,6 +74,7 @@ import numpy as np
 
 from repro import sanitize
 from repro.errors import InvalidParameterError, InvalidVertexError
+from repro.graph import native
 from repro.graph.csr import Graph
 from repro.obs.trace import get_tracer
 from repro.sentinels import UNREACHED
@@ -141,6 +155,49 @@ def gather_csr_arcs(
     return indices[positions], seg_starts
 
 
+class _NativeWork:
+    """The C kernel's scratch buffers for one engine, and their addresses.
+
+    ``pointers`` is the tail of the ``repro_bfs`` argument list, in
+    order: the engine's pooled distance buffer, the level queue, the
+    bottom-up candidate list, the per-level direction codes and
+    frontier sizes, and the four-slot result vector.
+
+    :dtype queue: int32
+    :dtype cand: int32
+    :dtype dirs: uint8
+    :dtype sizes: int64
+    :dtype out: int64
+    """
+
+    __slots__ = (
+        "csr",
+        "queue",
+        "cand",
+        "dirs",
+        "sizes",
+        "out",
+        "pointers",
+    )
+
+    def __init__(self, engine: "BFSEngine") -> None:
+        n = engine._n
+        self.csr = native.CSRView(n, engine._row_ptr, engine._col_idx)
+        self.queue = np.empty(n, dtype=np.int32)
+        self.cand = np.empty(n, dtype=np.int32)
+        self.dirs = np.empty(n + 1, dtype=np.uint8)
+        self.sizes = np.empty(n + 1, dtype=np.int64)
+        self.out = np.zeros(4, dtype=np.int64)
+        self.pointers = (
+            engine._dist.ctypes.data,
+            self.queue.ctypes.data,
+            self.cand.ctypes.data,
+            self.dirs.ctypes.data,
+            self.sizes.ctypes.data,
+            self.out.ctypes.data,
+        )
+
+
 class BFSEngine:
     """Reusable direction-optimizing BFS kernel for one graph.
 
@@ -175,6 +232,7 @@ bfs_distances` wrapper) must copy.
         "_owner",
         "_priority",
         "_guard",
+        "_native",
         "__weakref__",
     )
 
@@ -206,6 +264,8 @@ bfs_distances` wrapper) must copy.
         # None unless REPRO_SANITIZE is armed at construction time, so
         # the production cost of the sanitizer is one `is None` per run.
         self._guard = sanitize.guard_if_enabled("BFSEngine")
+        # Scratch for the native kernel, allocated on its first run.
+        self._native: Optional[_NativeWork] = None
         #: Eccentricity (max finite distance) of the last :meth:`run`.
         self.last_ecc: int = 0
         #: Per-level audit of the last :meth:`run`.
@@ -258,6 +318,87 @@ bfs_distances` wrapper) must copy.
         n = self._n
         if not 0 <= source < n:
             raise InvalidVertexError(source, n)
+        kern = native.kernels()
+        if kern is None:
+            stats, visited = self._levels(source, limit, mode)
+        else:
+            stats, visited = self._levels_native(kern, source, limit, mode)
+        self.last_ecc = stats.levels
+        self.last_stats = stats
+        if counter is not None:
+            counter.record(
+                stats.edges_scanned,
+                visited,
+                label=f"bfs:{source}",
+                inspected=stats.edges_inspected,
+            )
+        tracer = get_tracer()
+        if tracer.enabled:
+            # One event per run, assembled from the already-collected
+            # stats — per-level emission would put sink calls on the hot
+            # path; this keeps the disabled cost at one branch per BFS.
+            tracer.event(
+                "bfs.run",
+                source=source,
+                mode=mode,
+                levels=stats.levels,
+                ecc=stats.levels,
+                visited=visited,
+                edges_scanned=stats.edges_scanned,
+                edges_inspected=stats.edges_inspected,
+                directions=list(stats.directions),
+                frontier_sizes=list(stats.frontier_sizes),
+            )
+            tracer.metrics.ingest_run_stats(stats)
+        return self._dist
+
+    def _levels_native(
+        self,
+        kern: "native.Kernels",
+        source: int,
+        limit: Optional[int],
+        mode: str,
+    ) -> Tuple[BFSRunStats, int]:
+        """The level loop in C; same decisions and stats as :meth:`_levels`.
+
+        Returns ``(stats, vertices visited)``; the distances land in the
+        pooled buffer.
+        """
+        work = self._native
+        if work is None:
+            work = self._native = _NativeWork(self)
+        kern.bfs(
+            self._n,
+            work.csr.row_ptr_addr,
+            work.csr.col_idx_addr,
+            source,
+            -1 if limit is None else limit,
+            native.MODE_CODES[mode],
+            self.alpha,
+            self.beta,
+            *work.pointers,
+        )
+        levels, scanned, inspected, visited = work.out.tolist()
+        stats = BFSRunStats(
+            source=source,
+            levels=levels,
+            edges_scanned=scanned,
+            edges_inspected=inspected,
+            directions=[
+                native.DIRECTION_NAMES[d] for d in work.dirs[:levels].tolist()
+            ],
+            frontier_sizes=work.sizes[:levels].tolist(),
+        )
+        return stats, visited
+
+    def _levels(
+        self, source: int, limit: Optional[int], mode: str
+    ) -> Tuple[BFSRunStats, int]:
+        """The numpy level loop; the reference the C kernel mirrors.
+
+        Returns ``(stats, vertices visited)``; the distances land in the
+        pooled buffer.
+        """
         dist = self._dist
         dist.fill(UNREACHED)
         dist[source] = 0
@@ -318,34 +459,7 @@ bfs_distances` wrapper) must copy.
             stats.frontier_sizes.append(len(fresh))
             frontier = fresh.astype(np.int64, copy=False)
         stats.levels = level
-        self.last_ecc = level
-        self.last_stats = stats
-        if counter is not None:
-            counter.record(
-                stats.edges_scanned,
-                visited,
-                label=f"bfs:{source}",
-                inspected=stats.edges_inspected,
-            )
-        tracer = get_tracer()
-        if tracer.enabled:
-            # One event per run, assembled from the already-collected
-            # stats — per-level emission would put sink calls on the hot
-            # path; this keeps the disabled cost at one branch per BFS.
-            tracer.event(
-                "bfs.run",
-                source=source,
-                mode=mode,
-                levels=stats.levels,
-                ecc=self.last_ecc,
-                visited=visited,
-                edges_scanned=stats.edges_scanned,
-                edges_inspected=stats.edges_inspected,
-                directions=list(stats.directions),
-                frontier_sizes=[int(f) for f in stats.frontier_sizes],
-            )
-            tracer.metrics.ingest_run_stats(stats)
-        return dist
+        return stats, visited
 
     def _top_down_level(
         self, frontier: np.ndarray

@@ -44,6 +44,16 @@ Workspaces follow the pooled discipline of the rest of the repository:
 zeroed in place between batches.  Returned distance matrices are
 always freshly owned — their shape depends on the batch.
 
+The sweep runs in C (``repro_msbfs`` in ``_kernels.c``, loaded by
+:mod:`repro.graph.native`) whenever that library is built, else in the
+numpy loop of :meth:`MSBFSEngine._levels`.  The C sweep reuses the same
+pooled bitmaps, takes the same direction decisions (the
+``m_unsaturated`` check and its ``m_checked`` doubling included) and
+records the same :class:`MSBFSRunStats`, so rows, eccentricities,
+counters and ``msbfs.run`` events are identical under either kernel.
+For :meth:`MSBFSEngine.ecc_batch` it tracks each lane's last level
+directly and skips the ``(n, k)`` distance matrix altogether.
+
 :func:`plan_lane_width` is the router's policy: given ``n``, ``m`` and
 the batch size it picks a lane width (64/128/256) or serial
 single-source traversal, so every seam (``ecc_batch``,
@@ -63,6 +73,7 @@ import numpy as np
 
 from repro import sanitize
 from repro.errors import InvalidParameterError, InvalidVertexError
+from repro.graph import native
 from repro.graph.csr import Graph
 from repro.graph.engine import ALPHA, BETA, engine_for, gather_csr_arcs
 from repro.obs.trace import get_tracer
@@ -180,6 +191,42 @@ class _MSWorkspace:
         self.next_mask.fill(0)
 
 
+class _NativeWork:
+    """The C lane kernel's vertex lists and per-level audit buffers.
+
+    The ``uint64`` bitmaps stay in the per-width :class:`_MSWorkspace`;
+    these buffers are width-independent, so one set serves every sweep
+    of the engine.
+
+    :dtype active: int32
+    :dtype fresh: int32
+    :dtype dirs: uint8
+    :dtype live: int64
+    :dtype sizes: int64
+    :dtype out: int64
+    """
+
+    __slots__ = (
+        "csr",
+        "active",
+        "fresh",
+        "dirs",
+        "live",
+        "sizes",
+        "out",
+    )
+
+    def __init__(self, engine: "MSBFSEngine") -> None:
+        n = engine._n
+        self.csr = native.CSRView(n, engine._row_ptr, engine._col_idx)
+        self.active = np.empty(n, dtype=np.int32)
+        self.fresh = np.empty(n, dtype=np.int32)
+        self.dirs = np.empty(n + 1, dtype=np.uint8)
+        self.live = np.empty(n + 1, dtype=np.int64)
+        self.sizes = np.empty(n + 1, dtype=np.int64)
+        self.out = np.zeros(5, dtype=np.int64)
+
+
 def _popcount(words: np.ndarray) -> int:
     """Total set bits across a small ``uint64`` word vector.
 
@@ -240,6 +287,7 @@ class MSBFSEngine:
         "_col_idx",
         "_degrees",
         "_workspaces",
+        "_native",
         "__weakref__",
     )
 
@@ -258,6 +306,8 @@ class MSBFSEngine:
         self._arcs = int(len(graph.indices))
         # One pooled workspace per lane-word count actually used.
         self._workspaces: Dict[int, _MSWorkspace] = {}
+        # Scratch for the native kernel, allocated on its first sweep.
+        self._native: Optional[_NativeWork] = None
         #: Per-level audit of the last :meth:`run_batch`.
         self.last_stats: MSBFSRunStats = MSBFSRunStats()
 
@@ -297,7 +347,7 @@ class MSBFSEngine:
         :dtype src: int64
         :dtype dist: int32
         """
-        dist_t = self._sweep(sources, limit, counter, mode)
+        dist_t, _ecc = self._sweep(sources, limit, counter, mode)
         # The sweep records vertex-major (lanes contiguous per vertex);
         # consumers get the source-major convention of the seed kernel.
         return np.ascontiguousarray(dist_t.T)
@@ -317,7 +367,9 @@ class MSBFSEngine:
 
         :dtype ecc: int32
         """
-        dist_t = self._sweep(sources, None, counter, mode)
+        dist_t, ecc = self._sweep(sources, None, counter, mode, rows=False)
+        if ecc is not None:
+            return ecc
         return np.where(dist_t != UNREACHED, dist_t, 0).max(
             axis=0, initial=0
         ).astype(np.int32)
@@ -328,12 +380,17 @@ class MSBFSEngine:
         limit: Optional[int],
         counter: Optional["TraversalCounter"],
         mode: str,
-    ) -> np.ndarray:
+        rows: bool = True,
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         """Validate, pick a workspace, guard-bracket the sweep.
 
-        Returns the freshly-owned vertex-major ``(n, len(sources))``
-        ``int32`` distance matrix (lane ``j`` of row ``v`` is
-        ``d(sources[j], v)``).
+        Returns ``(dist_t, ecc)``: the freshly-owned vertex-major
+        ``(n, len(sources))`` ``int32`` distance matrix (lane ``j`` of
+        row ``v`` is ``d(sources[j], v)``) and the per-lane
+        eccentricities.  The numpy kernel always returns ``dist_t`` and
+        leaves ``ecc`` to the caller (``None``); the native kernel
+        always returns ``ecc`` and skips ``dist_t`` (``None``) when
+        ``rows`` is false.
 
         :dtype src: int64
         """
@@ -350,7 +407,7 @@ class MSBFSEngine:
             raise InvalidVertexError(int(bad), n)
         k = len(src)
         if k == 0:
-            return np.empty((n, 0), dtype=np.int32)
+            return np.empty((n, 0), dtype=np.int32), None
         words = -(-k // LANE_WORD_BITS)
         if words > MAX_LANE_WORDS:
             raise InvalidParameterError(
@@ -360,10 +417,10 @@ class MSBFSEngine:
         work = self._workspace(words)
         guard = work.guard
         if guard is None:
-            return self._sweep_impl(src, limit, counter, mode, work)
+            return self._sweep_impl(src, limit, counter, mode, work, rows)
         guard.begin_run()
         try:
-            return self._sweep_impl(src, limit, counter, mode, work)
+            return self._sweep_impl(src, limit, counter, mode, work, rows)
         finally:
             guard.end_run()
 
@@ -374,8 +431,130 @@ class MSBFSEngine:
         counter: Optional["TraversalCounter"],
         mode: str,
         work: _MSWorkspace,
-    ) -> np.ndarray:
+        rows: bool,
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         """The sweep itself (guard bookkeeping handled by the caller).
+
+        Runs the native kernel when it is loaded, else the numpy level
+        loop; both record the same stats, counters and trace event.
+
+        :mutates work: the lane bitmaps are zeroed and rewritten level
+            by level; the sweep owns them for its duration.
+        """
+        kern = native.kernels()
+        ecc: Optional[np.ndarray] = None
+        reached: Optional[int] = None
+        if kern is None:
+            dist_t, stats = self._levels(src, limit, mode, work)
+        else:
+            dist_t, ecc, stats, reached = self._levels_native(
+                kern, src, limit, mode, work, rows
+            )
+        k = len(src)
+        self.last_stats = stats
+        if counter is not None:
+            if reached is None:
+                reached = int(np.count_nonzero(dist_t != UNREACHED))
+            counter.record(
+                stats.edges_scanned,
+                reached,
+                inspected=stats.edges_inspected,
+            )
+            counter.bfs_runs += k - 1  # the sweep stands in for k runs
+        tracer = get_tracer()
+        if tracer.enabled:
+            # One event per sweep, assembled from the collected stats —
+            # per-level emission would put sink calls on the hot path.
+            tracer.event(
+                "msbfs.run",
+                num_sources=k,
+                lane_words=work.words,
+                mode=mode,
+                levels=stats.levels,
+                edges_scanned=stats.edges_scanned,
+                edges_inspected=stats.edges_inspected,
+                words_touched=stats.words_touched,
+                directions=list(stats.directions),
+                live_lanes=list(stats.live_lanes),
+                frontier_sizes=list(stats.frontier_sizes),
+            )
+            tracer.metrics.ingest_msbfs_stats(stats)
+        return dist_t, ecc
+
+    def _levels_native(
+        self,
+        kern: "native.Kernels",
+        src: np.ndarray,
+        limit: Optional[int],
+        mode: str,
+        work: _MSWorkspace,
+        rows: bool,
+    ) -> Tuple[Optional[np.ndarray], np.ndarray, MSBFSRunStats, int]:
+        """The sweep in C; same decisions and stats as :meth:`_levels`.
+
+        Returns ``(dist_t or None, ecc, stats, reached)`` where
+        ``reached`` counts the set cells of the distance matrix.  The
+        lane bitmaps of ``work`` serve as the kernel's scratch.
+
+        :dtype dist_t: int32
+        :dtype ecc: int32
+        """
+        scratch = self._native
+        if scratch is None:
+            scratch = self._native = _NativeWork(self)
+        k = len(src)
+        dist_t = np.empty((self._n, k), dtype=np.int32) if rows else None
+        ecc = np.empty(k, dtype=np.int32)
+        kern.msbfs(
+            work.words,
+            self._n,
+            scratch.csr.row_ptr_addr,
+            scratch.csr.col_idx_addr,
+            src.ctypes.data,
+            k,
+            -1 if limit is None else limit,
+            native.MODE_CODES[mode],
+            self.alpha,
+            self.beta,
+            work.seen.ctypes.data,
+            work.frontier.ctypes.data,
+            work.next_mask.ctypes.data,
+            scratch.active.ctypes.data,
+            scratch.fresh.ctypes.data,
+            None if dist_t is None else dist_t.ctypes.data,
+            ecc.ctypes.data,
+            scratch.dirs.ctypes.data,
+            scratch.live.ctypes.data,
+            scratch.sizes.ctypes.data,
+            scratch.out.ctypes.data,
+        )
+        levels, scanned, inspected, words_touched, reached = (
+            scratch.out.tolist()
+        )
+        stats = MSBFSRunStats(
+            num_sources=k,
+            lane_words=work.words,
+            levels=levels,
+            edges_scanned=scanned,
+            edges_inspected=inspected,
+            words_touched=words_touched,
+            directions=[
+                native.DIRECTION_NAMES[d]
+                for d in scratch.dirs[:levels].tolist()
+            ],
+            live_lanes=scratch.live[:levels].tolist(),
+            frontier_sizes=scratch.sizes[:levels].tolist(),
+        )
+        return dist_t, ecc, stats, reached
+
+    def _levels(
+        self,
+        src: np.ndarray,
+        limit: Optional[int],
+        mode: str,
+        work: _MSWorkspace,
+    ) -> Tuple[np.ndarray, MSBFSRunStats]:
+        """The numpy level loop; the reference the C kernel mirrors.
 
         :mutates work: the lane bitmaps are zeroed and rewritten level
             by level; the sweep owns them for its duration.
@@ -496,33 +675,7 @@ class MSBFSEngine:
             m_frontier = int(degrees[newly].sum())
             active = newly
         stats.levels = level
-        self.last_stats = stats
-        if counter is not None:
-            counter.record(
-                stats.edges_scanned,
-                int(np.count_nonzero(dist_t != UNREACHED)),
-                inspected=stats.edges_inspected,
-            )
-            counter.bfs_runs += k - 1  # the sweep stands in for k runs
-        tracer = get_tracer()
-        if tracer.enabled:
-            # One event per sweep, assembled from the collected stats —
-            # per-level emission would put sink calls on the hot path.
-            tracer.event(
-                "msbfs.run",
-                num_sources=k,
-                lane_words=words,
-                mode=mode,
-                levels=stats.levels,
-                edges_scanned=stats.edges_scanned,
-                edges_inspected=stats.edges_inspected,
-                words_touched=stats.words_touched,
-                directions=list(stats.directions),
-                live_lanes=[int(c) for c in stats.live_lanes],
-                frontier_sizes=[int(f) for f in stats.frontier_sizes],
-            )
-            tracer.metrics.ingest_msbfs_stats(stats)
-        return dist_t
+        return dist_t, stats
 
     def _top_down_level(
         self,

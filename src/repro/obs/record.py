@@ -11,7 +11,13 @@ before/after artifact.
 On disk a record is JSON Lines:
 
 * line 1 — the **header**: ``{"kind": "header", "schema": ...,
-  "version": .., "algorithm": .., "graph": {...}, "config": {...}}``;
+  "version": .., "algorithm": .., "graph": {...}, "config": {...},
+  "kernel": {...}}``, where ``kernel`` names the traversal kernel that
+  ran (``native`` plus the library key, or ``numpy`` plus the reason
+  the native build is not in use) — the first thing to compare when two
+  records of the same run differ in speed.  It lives in the header,
+  not the event stream, so deterministic views and golden traces are
+  the same on hosts with and without a C compiler;
 * one line per **event**, exactly as the tracer emitted it;
 * last line — the **footer**: ``{"kind": "footer", "result": {...},
   "counters": {...}, "metrics": {...}, "wall_seconds": ...}``.
@@ -119,6 +125,7 @@ class RunRecord:
     result: Dict[str, Any] = field(default_factory=dict)
     wall_seconds: float = 0.0
     version: int = RECORD_VERSION
+    kernel: Dict[str, str] = field(default_factory=dict)
 
     # ------------------------------------------------------------ build
     @classmethod
@@ -131,6 +138,9 @@ class RunRecord:
         metrics: Optional[Dict[str, Any]] = None,
     ) -> "RunRecord":
         """Package a finished run (live result + captured events)."""
+        from repro.graph.native import kernel_info
+
+        info = kernel_info()
         resolved = int((result.lower == result.upper).sum())
         return cls(
             algorithm=result.algorithm,
@@ -148,6 +158,7 @@ class RunRecord:
                 "resolved": resolved,
             },
             wall_seconds=float(result.elapsed_seconds),
+            kernel={"kind": info.kind, "detail": info.detail},
         )
 
     # ------------------------------------------------------------- I/O
@@ -160,6 +171,7 @@ class RunRecord:
             "algorithm": self.algorithm,
             "graph": self.graph,
             "config": self.config,
+            "kernel": self.kernel,
         }
         footer = {
             "kind": "footer",
@@ -227,6 +239,7 @@ class RunRecord:
             result=dict(footer.get("result", {})),
             wall_seconds=float(footer.get("wall_seconds", 0.0)),
             version=version,
+            kernel=dict(header.get("kernel", {})),
         )
 
     # ------------------------------------------------------- analysis
@@ -266,6 +279,13 @@ class RunRecord:
         if self.config:
             pairs = " ".join(f"{k}={v}" for k, v in sorted(self.config.items()))
             lines.append(f"config: {pairs}")
+        if self.kernel:
+            lines.append(
+                "kernel: {kind} ({detail})".format(
+                    kind=self.kernel.get("kind", "?"),
+                    detail=self.kernel.get("detail", "?"),
+                )
+            )
         probes = self.probe_events()
         if probes:
             lines.append("convergence:")

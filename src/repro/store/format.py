@@ -523,7 +523,10 @@ def graph_from_arrays(
     the same CSR-immutability discipline as a built graph.  Derived
     ``degrees`` arrays are computed (``O(n)``) because v1 does not store
     them.  Row-pointer monotonicity is always checked — it is the one
-    corruption that turns into out-of-bounds slicing inside kernels.
+    corruption that turns into out-of-bounds slicing inside the numpy
+    kernels.  Vertex ids are range-checked where the C kernels first
+    take the arrays (:class:`repro.graph.native.CSRView`), since those
+    use them as raw offsets.
     """
     _check_indptr(info, "indptr", views["indptr"])
     if info.kind == "graph":

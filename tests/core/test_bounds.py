@@ -164,3 +164,40 @@ class TestSetExact:
 
     def test_repr(self):
         assert "resolved=0" in repr(BoundState(3))
+
+
+class TestProgress:
+    """``progress`` equals the spelled-out numpy reductions, whichever
+    kernel computes it."""
+
+    @staticmethod
+    def _state(dtype, n, tolerance, seed=3):
+        """Bounds with resolved, finite-gap and untouched vertices."""
+        rng = np.random.default_rng(seed)
+        state = BoundState(n, dtype=dtype, tolerance=tolerance)
+        subset = np.flatnonzero(rng.random(n) < 0.7)
+        dist = rng.integers(0, 20, size=len(subset)).astype(dtype)
+        state.apply_lemma31_subset(subset, dist, 25)
+        return state
+
+    @pytest.mark.parametrize("kernel", ["native", "numpy"])
+    @pytest.mark.parametrize("dtype", [np.int32, np.float64])
+    # 10_000 spans several of the C pass's 4096-vertex blocks.
+    @pytest.mark.parametrize("n", [500, 10_000])
+    @pytest.mark.parametrize("tolerance", [0.0, 1.0])
+    def test_matches_reference(self, kernel, dtype, n, tolerance):
+        from repro.graph import native
+
+        if kernel == "native" and native.kernels() is None:
+            pytest.skip("native kernel unavailable")
+        state = self._state(dtype, n, tolerance)
+        gap = state.upper.astype(np.float64) - state.lower.astype(np.float64)
+        resolved = int(np.count_nonzero(gap <= tolerance))
+        assert 0 < resolved < n
+        loaded = (native.kernels(), native.kernel_info())
+        numpy_only = (None, native.KernelInfo("numpy", "test"))
+        with native.pinned(*(loaded if kernel == "native" else numpy_only)):
+            assert state.progress() == (resolved, None)
+            for cap in (float(n), 7.0, float(2**40)):
+                want = float(np.minimum(gap, cap).sum())
+                assert state.progress(cap) == (resolved, want)

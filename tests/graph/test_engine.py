@@ -28,7 +28,7 @@ from repro.graph.traversal import (
     multi_source_bfs,
 )
 
-from helpers import random_connected_graph
+from helpers import graph_corpus, random_connected_graph, random_graph
 
 MODES = ("hybrid", "top-down", "bottom-up")
 
@@ -103,40 +103,6 @@ def seed_multi_source_bfs(graph, sources):
         owner[uniq] = fresh_owner[rank[first_idx]]
         frontier = uniq.astype(np.int64)
     return dist, owner
-
-
-def random_graph(n, num_edges, seed):
-    """Random graph, possibly disconnected (no spanning tree guarantee)."""
-    rng = np.random.default_rng(seed)
-    edges = [
-        (int(rng.integers(0, n)), int(rng.integers(0, n)))
-        for _ in range(num_edges)
-    ]
-    edges = [(u, v) for u, v in edges if u != v]
-    return Graph.from_edges(edges, num_vertices=n)
-
-
-def graph_corpus():
-    """~50 graphs: random (connected and disconnected), star, path,
-    single-vertex, and the structured generator families."""
-    graphs = [
-        Graph.from_edges([], num_vertices=1),  # single vertex
-        Graph.from_edges([], num_vertices=7),  # only isolated vertices
-        path_graph(1),
-        path_graph(2),
-        path_graph(60),
-        star_graph(2),
-        star_graph(100),
-        paper_example_graph(),
-        barabasi_albert(300, 3, seed=11),
-    ]
-    for seed in range(20):
-        n = 5 + seed * 3
-        graphs.append(random_graph(n, n + seed, seed))  # often disconnected
-    for seed in range(20):
-        n = 4 + seed * 4
-        graphs.append(random_connected_graph(n, 2 * seed, seed))
-    return graphs
 
 
 CORPUS = graph_corpus()
@@ -329,3 +295,13 @@ def test_property_engine_equals_seed(n, num_edges, seed, mode, data):
     expected = seed_bfs_distances(graph, source, limit=limit)
     got = engine.run(source, limit=limit, mode=mode)
     assert np.array_equal(expected, got)
+
+
+def test_paired_suite_pins_the_kernel(traversal_kernel):
+    """This file runs once per kernel (tests/conftest.py KERNEL_PAIRED):
+    the fixture's pin is the kernel the engine actually consults."""
+    from repro.graph import native
+
+    assert traversal_kernel in ("native", "numpy")
+    assert native.kernel_info().kind == traversal_kernel
+    assert (native.kernels() is None) == (traversal_kernel == "numpy")

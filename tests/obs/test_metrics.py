@@ -48,6 +48,17 @@ class TestInstruments:
         assert hist.total == 5
         assert hist.sum == pytest.approx(556.5)
 
+    def test_observe_many_equals_observe_per_value(self):
+        values = [0, 1, 3, 10, 11, 99, 100, 5000, 1, 1]
+        one = Histogram("h", bounds=[1.0, 10.0, 100.0])
+        for value in values:
+            one.observe(value)
+        many = Histogram("h", bounds=[1.0, 10.0, 100.0])
+        many.observe_many(values[:4])
+        many.observe_many(values[4:])
+        many.observe_many([])
+        assert many.snapshot() == one.snapshot()
+
     def test_histogram_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             Histogram("h", bounds=[])

@@ -177,3 +177,46 @@ class TestSummarize:
             if line.startswith("  ") and "source" not in line
         ]
         assert len(rows) == result.num_bfs
+
+
+class TestKernelStamp:
+    def test_header_names_the_loaded_kernel(self, traced_run, tmp_path):
+        from repro.graph import native
+
+        _, record = traced_run
+        info = native.kernel_info()
+        assert record.kernel == {"kind": info.kind, "detail": info.detail}
+        path = tmp_path / "run.jsonl"
+        record.write_jsonl(str(path))
+        with open(path, "r", encoding="utf-8") as handle:
+            header = json.loads(handle.readline())
+        assert header["kernel"] == record.kernel
+        assert RunRecord.read_jsonl(str(path)).kernel == record.kernel
+        assert f"kernel: {info.kind} ({info.detail})" in record.summarize()
+
+    def test_fallback_reason_is_recorded(self, example_graph):
+        from repro.graph import native
+
+        reason = native.KernelInfo("numpy", "no C compiler on PATH")
+        with native.pinned(None, reason):
+            result = IFECC(example_graph).run()
+            record = RunRecord.from_run(result, example_graph, [])
+        assert record.kernel == {"kind": "numpy", "detail": reason.detail}
+        assert "kernel: numpy (no C compiler on PATH)" in record.summarize()
+
+    def test_kernel_stays_out_of_the_event_stream(self, traced_run):
+        _, record = traced_run
+        assert all("kernel" not in event for event in record.events)
+
+    def test_records_without_a_kernel_still_read(self, traced_run, tmp_path):
+        _, record = traced_run
+        path = tmp_path / "old.jsonl"
+        record.write_jsonl(str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        del header["kernel"]
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded = RunRecord.read_jsonl(str(path))
+        assert loaded.kernel == {}
+        assert "kernel:" not in loaded.summarize()

@@ -175,6 +175,9 @@ SHARED_STATE = {
     "src/repro/graph/msengine.py": {
         "_ENGINES": ("msengine_for",),
     },
+    "src/repro/graph/native.py": {
+        "_STATE": ("_state", "kernels", "kernel_info", "_swapped"),
+    },
     "src/repro/parallel/pool.py": {
         "_POOLS": ("pool_for", "shutdown_pools"),
     },
