@@ -50,15 +50,16 @@ bench:
 
 # Quick BFS-engine perf check (CI runs this and uploads the files):
 # seed kernel vs. top-down-only vs. direction-optimizing hybrid on the
-# generator suite, then the backend shootout (seed vs. hybrid vs.
-# process backend).  Writes BENCH_bfs_engine.json,
+# generator suite, then the parallel shootout (seed vs. hybrid vs.
+# thread pool).  Writes BENCH_bfs_engine.json,
 # BENCH_parallel_backend.json, and the structured run-record artifact
 # BENCH_trace_ifecc.jsonl at the repo root.
 bench-smoke:
 	python benchmarks/bench_bfs_engine.py --smoke --workers 1,2
 
-# Backend shootout only, at full scale (powerlaw-50k, sampled sources).
-# Honest on constrained hosts: the JSON records effective_cpus.
+# Parallel shootout only (seed vs. hybrid vs. thread pool x1,2,4), at
+# full scale (powerlaw-50k, sampled sources).  Honest on constrained
+# hosts: the JSON records effective_cpus.
 bench-parallel:
 	python benchmarks/bench_bfs_engine.py --shootout-only --repeats 1
 

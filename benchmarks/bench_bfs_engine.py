@@ -1,4 +1,4 @@
-"""BFS engine benchmark — seed kernel vs. hybrid vs. process backend.
+"""BFS engine benchmark — seed kernel vs. hybrid vs. pool threads.
 
 First point of the repo's perf trajectory: times the direction-optimizing
 pooled-workspace :class:`repro.graph.engine.BFSEngine` against (a) a
@@ -17,19 +17,19 @@ per-level direction decisions and edges-inspected counts, so Figure
 record of one traced IFECC run on the power-law graph — so every perf
 PR carries a replayable probe-by-probe account, not just aggregates.
 
-The *backend shootout* section additionally races the full-ED
-eccentricity sweep across backends — seed kernel, in-process hybrid
-engine, and the shared-memory process backend at several worker counts
-(:mod:`repro.parallel`) — and writes ``BENCH_parallel_backend.json``
-with speedup-vs-cores plus the host's ``effective_cpus``, asserting the
-eccentricities are bit-identical across every configuration.
+The *parallel shootout* section additionally races the full-ED
+eccentricity sweep — seed kernel, single-thread hybrid engine, and the
+thread pool (:mod:`repro.parallel`) at several worker counts — and
+writes ``BENCH_parallel_backend.json`` with speedup-vs-threads plus the
+host's ``effective_cpus``, asserting the eccentricities are
+bit-identical across every configuration.
 
 Run standalone::
 
     python benchmarks/bench_bfs_engine.py            # full suite (n >= 50k)
     python benchmarks/bench_bfs_engine.py --smoke    # CI-sized graphs
     python benchmarks/bench_bfs_engine.py --smoke --shootout-only \
-        --workers 1,2                                # backend race only
+        --workers 1,2                                # shootout only
 
 or via pytest (smoke-sized, asserts the shape claims)::
 
@@ -66,7 +66,7 @@ DEFAULT_PARALLEL_OUT = REPO_ROOT / "BENCH_parallel_backend.json"
 #: graph (hybrid vs. seed kernel) in full mode.
 TARGET_SPEEDUP = 1.5
 
-#: Speedup the process backend targets at 4 workers vs. the hybrid
+#: Speedup the thread pool targets at 4 workers vs. the hybrid
 #: engine — achievable only on hosts that actually expose >= 4 cores;
 #: the report records ``effective_cpus`` so a miss on a constrained box
 #: is distinguishable from a regression.
@@ -309,7 +309,7 @@ def run_suite(
 
 
 # ----------------------------------------------------------------------
-# Backend shootout (seed vs hybrid vs process x workers)
+# Parallel shootout (seed vs hybrid vs threads x workers)
 # ----------------------------------------------------------------------
 def _effective_cpus() -> int:
     """Cores this process may actually run on (cgroup/affinity aware)."""
@@ -346,19 +346,12 @@ def run_shootout(
     num_sources: Optional[int],
     repeats: int,
     out_path: Path,
-) -> Optional[Dict[str, object]]:
-    """Race the ED sweep across backends; write the JSON scorecard.
+) -> Dict[str, object]:
+    """Race the ED sweep across worker counts; write the JSON scorecard.
 
     ``num_sources=None`` sweeps every vertex (the true full ED).
-    Returns ``None`` (and writes nothing) where shared memory is
-    unavailable.
     """
     from repro.parallel.pool import TraversalPool
-    from repro.parallel.shm import shared_memory_available
-
-    if not shared_memory_available():  # pragma: no cover - exotic platform
-        print("[bench_parallel] shared_memory unavailable; skipping shootout")
-        return None
 
     if smoke:
         name, graph = "powerlaw-4k", barabasi_albert(4_000, 4, seed=7)
@@ -400,25 +393,19 @@ def run_shootout(
     print(f"  hybrid engine    {hybrid_s:.4f}s")
     for workers in workers_list:
         pool = TraversalPool(graph, workers=workers)
-        try:
-            pool.eccentricities(sources[: min(16, len(sources))])  # warm-up
-            proc_s, proc_ok = time_config(
-                lambda: pool.eccentricities(sources)
-            )
-        finally:
-            pool.close()
+        pool_s, pool_ok = time_config(lambda: pool.eccentricities(sources))
         configs.append(
             {
-                "config": f"process x{workers}",
+                "config": f"threads x{workers}",
                 "workers": workers,
-                "seconds": proc_s,
-                "bit_identical": proc_ok,
-                "speedup_vs_hybrid": hybrid_s / proc_s if proc_s else 0.0,
+                "seconds": pool_s,
+                "bit_identical": pool_ok,
+                "speedup_vs_hybrid": hybrid_s / pool_s if pool_s else 0.0,
             }
         )
         print(
-            f"  process x{workers}       {proc_s:.4f}s "
-            f"({hybrid_s / proc_s:.2f}x vs hybrid)"
+            f"  threads x{workers}       {pool_s:.4f}s "
+            f"({hybrid_s / pool_s:.2f}x vs hybrid)"
         )
 
     all_identical = all(bool(c["bit_identical"]) for c in configs)
@@ -449,7 +436,7 @@ def run_shootout(
     print(f"[bench_parallel] wrote {out_path}")
     if not all_identical:
         raise AssertionError(
-            "backend shootout produced non-identical eccentricities"
+            "parallel shootout produced non-identical eccentricities"
         )
     return report
 
@@ -489,14 +476,8 @@ def test_engine_beats_seed_kernel(benchmark) -> None:  # type: ignore[no-untyped
 
 
 def test_parallel_backend_shootout(benchmark) -> None:  # type: ignore[no-untyped-def]
-    """Process backend is bit-identical to the hybrid engine on the
+    """The thread pool is bit-identical to the hybrid engine on the
     smoke graph; the scorecard JSON lands at the repo root."""
-    import pytest
-
-    from repro.parallel.shm import shared_memory_available
-
-    if not shared_memory_available():
-        pytest.skip("multiprocessing.shared_memory unavailable")
     report = benchmark.pedantic(
         lambda: run_shootout(
             smoke=True,
@@ -508,14 +489,13 @@ def test_parallel_backend_shootout(benchmark) -> None:  # type: ignore[no-untype
         rounds=1,
         iterations=1,
     )
-    assert report is not None
     assert report["bit_identical"] is True
     assert report["effective_cpus"] >= 1
     assert DEFAULT_PARALLEL_OUT.exists()
-    process_cfgs = [
-        c for c in report["configs"] if c["config"].startswith("process")
+    pool_cfgs = [
+        c for c in report["configs"] if c["config"].startswith("threads")
     ]
-    assert process_cfgs and all(c["seconds"] > 0 for c in process_cfgs)
+    assert pool_cfgs and all(c["seconds"] > 0 for c in pool_cfgs)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -536,12 +516,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--shootout-only",
         action="store_true",
-        help="skip the kernel suite, run only the backend shootout",
+        help="skip the kernel suite, run only the parallel shootout",
     )
     parser.add_argument(
         "--no-shootout",
         action="store_true",
-        help="skip the backend shootout",
+        help="skip the parallel shootout",
     )
     parser.add_argument(
         "--workers",
@@ -584,12 +564,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args.repeats,
             args.parallel_out,
         )
-        if shootout is not None and not args.smoke:
+        if not args.smoke:
             best = float(shootout["best_speedup_vs_hybrid"])  # type: ignore[arg-type]
             cpus = int(shootout["effective_cpus"])  # type: ignore[arg-type]
             if best < PARALLEL_TARGET_SPEEDUP:
                 print(
-                    f"WARNING: process-backend speedup {best:.2f}x below "
+                    f"WARNING: thread-pool speedup {best:.2f}x below "
                     f"the {PARALLEL_TARGET_SPEEDUP}x target "
                     f"(effective_cpus={cpus})"
                 )

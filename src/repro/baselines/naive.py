@@ -3,8 +3,8 @@
 One BFS per vertex — the quadratic straw man every other algorithm is
 measured against, and the simplest possible correctness oracle.  Being
 embarrassingly parallel over sources, it is also the first customer of
-the process backend: ``backend="process"`` fans the full-ED sweep
-across a worker pool (:mod:`repro.parallel`) with bit-identical output.
+the thread pool: ``workers=2`` fans the full-ED sweep out over two
+threads (:mod:`repro.parallel`) with bit-identical output.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.errors import InvalidParameterError
 from repro.graph.csr import Graph
 from repro.graph.traversal import TraversalCounter, eccentricity_and_distances
 from repro.obs.trace import Stopwatch
+from repro.parallel.pool import pool_for
 
 __all__ = ["naive_eccentricities"]
 
@@ -25,21 +26,19 @@ __all__ = ["naive_eccentricities"]
 def naive_eccentricities(
     graph: Graph,
     counter: Optional[TraversalCounter] = None,
-    backend: str = "numpy",
-    workers: Optional[int] = None,
+    workers: Optional[int] = 1,
     traversal: str = "batch",
 ) -> EccentricityResult:
     """Exact ED with one BFS per vertex (eccentricity within components).
 
-    ``backend="numpy"`` (default) runs the sweep in-process;
-    ``backend="process"`` dispatches source chunks to ``workers``
-    worker processes over the shared-memory CSR.  ``traversal`` picks
-    the in-process sweep flavour: ``"batch"`` (default) shares
-    bit-parallel MS-BFS lane sweeps via :meth:`repro.graph.engine.
-    BFSEngine.ecc_batch`, ``"loop"`` keeps the historical one-BFS-per-
-    vertex loop (the honest quadratic straw man for ablations).  All
-    paths produce the same eccentricities bit for bit; the algorithm
-    tag records which backend (and how many workers) actually ran.
+    ``workers=1`` (default) runs the sweep in the calling thread; any
+    other count (``None``: every core) spreads its sweeps over that
+    many threads.  ``traversal`` picks the single-thread sweep flavour:
+    ``"batch"`` (default) shares bit-parallel MS-BFS lane sweeps via
+    :meth:`repro.graph.engine.BFSEngine.ecc_batch`, ``"loop"`` keeps
+    the historical one-BFS-per-vertex loop (the honest quadratic straw
+    man for ablations).  All paths produce the same eccentricities bit
+    for bit; the algorithm tag records how many threads ran.
 
     :dtype ecc: int32
     """
@@ -50,12 +49,10 @@ def naive_eccentricities(
     counter = counter if counter is not None else TraversalCounter()
     watch = Stopwatch()
     n = graph.num_vertices
-    if backend == "process":
-        from repro.parallel.pool import pool_for
-
+    if workers != 1:
         pool = pool_for(graph, workers=workers)
         ecc = pool.eccentricities(counter=counter)
-        algorithm = f"Naive(process x{pool.workers})"
+        algorithm = f"Naive(threads x{pool.workers})"
     elif traversal == "batch":
         from repro.graph.engine import engine_for
 

@@ -160,11 +160,6 @@ def _run_traced(
     return result
 
 
-def _backend_config(args: argparse.Namespace) -> Dict[str, Any]:
-    """The ``backend``/``workers`` pair for run-record config headers."""
-    return {"backend": args.backend, "workers": args.workers}
-
-
 def _cmd_ecc(args: argparse.Namespace) -> int:
     graph, meta = _load_graph(args.graph, args.lcc)
     result = _run_traced(
@@ -173,13 +168,12 @@ def _cmd_ecc(args: argparse.Namespace) -> int:
         {
             "command": "ecc",
             "references": args.references,
-            **_backend_config(args),
+            "workers": args.workers,
             **meta,
         },
         lambda: compute_eccentricities(
             graph,
             num_references=args.references,
-            backend=args.backend,
             workers=args.workers,
         ),
     )
@@ -207,14 +201,13 @@ def _cmd_approx(args: argparse.Namespace) -> int:
             "command": "approx",
             "k": args.k,
             "estimator": args.estimator,
-            **_backend_config(args),
+            "workers": args.workers,
             **meta,
         },
         lambda: approximate_eccentricities(
             graph,
             k=args.k,
             estimator=args.estimator,
-            backend=args.backend,
             workers=args.workers,
         ),
     )
@@ -240,10 +233,8 @@ def _cmd_diameter(args: argparse.Namespace) -> int:
     result = _run_traced(
         args,
         graph,
-        {"command": "diameter", **_backend_config(args), **meta},
-        lambda: compute_eccentricities(
-            graph, backend=args.backend, workers=args.workers
-        ),
+        {"command": "diameter", "workers": args.workers, **meta},
+        lambda: compute_eccentricities(graph, workers=args.workers),
     )
     print(f"graph: n={graph.num_vertices} m={graph.num_edges}")
     print(
@@ -464,22 +455,14 @@ def build_parser() -> argparse.ArgumentParser:
             "the solver runs; composes with --trace",
         )
 
-    def add_backend_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--backend",
-            choices=("numpy", "process"),
-            default="numpy",
-            help="traversal backend for batched probes: in-process numpy "
-            "(default) or a shared-memory worker pool; results are "
-            "identical either way",
-        )
+    def add_workers_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--workers",
             type=int,
-            default=None,
+            default=1,
             metavar="N",
-            help="worker-process count for --backend process "
-            "(default: all usable cores)",
+            help="threads for batched traversals (default 1: run them "
+            "in the calling thread); results are identical for every N",
         )
 
     p_ecc = sub.add_parser("ecc", help="exact eccentricity distribution")
@@ -490,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ecc.add_argument("-o", "--output", help="write eccentricities to file")
     add_trace_arg(p_ecc)
-    add_backend_args(p_ecc)
+    add_workers_arg(p_ecc)
     p_ecc.set_defaults(func=_cmd_ecc)
 
     p_approx = sub.add_parser("approx", help="anytime kIFECC estimate")
@@ -506,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_approx.add_argument("-o", "--output", help="write estimates to file")
     add_trace_arg(p_approx)
-    add_backend_args(p_approx)
+    add_workers_arg(p_approx)
     p_approx.set_defaults(func=_cmd_approx)
 
     p_dia = sub.add_parser("diameter", help="exact radius and diameter")
@@ -517,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dia.add_argument("--seed", type=int, default=0)
     add_trace_arg(p_dia)
-    add_backend_args(p_dia)
+    add_workers_arg(p_dia)
     p_dia.set_defaults(func=_cmd_diameter)
 
     p_stats = sub.add_parser("stats", help="F1/F2 stratification statistics")

@@ -55,8 +55,7 @@ def approximate_eccentricities(
     seed: int = 0,
     estimator: str = "lower",
     counter: Optional[TraversalCounter] = None,
-    backend: str = "numpy",
-    workers: Optional[int] = None,
+    workers: Optional[int] = 1,
 ) -> EccentricityResult:
     """Approximate the ED with ``k`` FFO-front BFS runs (Algorithm 3).
 
@@ -75,10 +74,10 @@ def approximate_eccentricities(
         What to report for unresolved vertices: ``"lower"`` (the paper's
         Algorithm 3), ``"upper"``, or ``"midpoint"`` (extension variants;
         the midpoint halves the worst-case error of either bound).
-    backend / workers:
-        Traversal backend threaded to the oracle (see
-        :class:`repro.core.ifecc.IFECC`); estimates are identical under
-        every backend.
+    workers:
+        Threads for the oracle's batched traversals (see
+        :class:`repro.core.ifecc.IFECC`); estimates are identical for
+        every count.
 
     Returns
     -------
@@ -100,7 +99,6 @@ def approximate_eccentricities(
         strategy=strategy,
         seed=seed,
         counter=counter,
-        backend=backend,
         workers=workers,
     )
     # Budget = 1 reference BFS + k FFO BFS runs.

@@ -42,7 +42,7 @@ established.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -51,14 +51,10 @@ from repro.core.reference import get_strategy
 from repro.errors import DisconnectedGraphError, InvalidParameterError
 from repro.graph.csr import Graph
 from repro.graph.engine import BFSEngine, engine_for
+from repro.graph.msengine import batch_distance_rows
+from repro.parallel.pool import TraversalPool, pool_for, resolve_workers
 
-if TYPE_CHECKING:  # runtime import is lazy (multiprocessing is heavy)
-    from repro.parallel.pool import TraversalPool
-
-__all__ = ["DistanceOracle", "BFSOracle", "BACKENDS"]
-
-#: The traversal backends a :class:`BFSOracle` can select.
-BACKENDS = ("numpy", "process")
+__all__ = ["DistanceOracle", "BFSOracle"]
 
 
 @runtime_checkable
@@ -144,14 +140,15 @@ class BFSOracle:
     dominate at scale), while ``source_probe`` copies — its vector is
     retained by FFOs and territories.
 
-    ``backend`` selects how the *batched* entry points
-    (:meth:`ecc_all`, :meth:`distance_rows`) execute: ``"numpy"`` (the
-    default) loops the in-process engine, ``"process"`` fans the batch
-    across a :class:`repro.parallel.pool.TraversalPool` of ``workers``
-    processes.  Single probes (``source_probe``/``sweep_probe``) always
-    stay on the in-process engine — one BFS is cheaper than its IPC
-    round-trip — so the solver's sequential bound-tightening loop is
-    bit-identical under every backend by construction.
+    ``workers`` decides how the *batched* entry points
+    (:meth:`ecc_all`, :meth:`distance_rows`) execute: ``1`` (the
+    default) runs them in the calling thread, any other count (or
+    ``None``, every usable core) fans them out over the threads of a
+    :class:`repro.parallel.pool.TraversalPool`.  Single probes
+    (``source_probe``/``sweep_probe``) always stay on the caller's
+    engine — one BFS is cheaper than a thread hand-off — so the
+    solver's sequential bound-tightening loop is the same code under
+    every worker count.
     """
 
     dtype = np.dtype(np.int32)
@@ -164,33 +161,21 @@ class BFSOracle:
         self,
         graph: Graph,
         engine: Optional[BFSEngine] = None,
-        backend: str = "numpy",
-        workers: Optional[int] = None,
-        pool: Optional["TraversalPool"] = None,
+        workers: Optional[int] = 1,
     ) -> None:
-        if backend not in BACKENDS:
-            raise InvalidParameterError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
+        if workers is not None:
+            resolve_workers(workers)
         self.graph = graph
         self.num_vertices = graph.num_vertices
         self.engine = engine if engine is not None else engine_for(graph)
-        self.backend = backend
         self.workers = workers
-        self._pool = pool
 
     @property
-    def pool(self) -> "TraversalPool":
-        """The worker pool backing batched dispatch (process backend only)."""
-        if self.backend != "process":
-            raise InvalidParameterError(
-                "pool is only available with backend='process'"
-            )
-        if self._pool is None or self._pool.closed:
-            from repro.parallel.pool import pool_for
-
-            self._pool = pool_for(self.graph, workers=self.workers)
-        return self._pool
+    def pool(self) -> TraversalPool:
+        """The thread pool behind batched dispatch (``workers != 1``)."""
+        if self.workers == 1:
+            raise InvalidParameterError("workers=1 runs without a pool")
+        return pool_for(self.graph, workers=self.workers)
 
     # -- batched entry points ------------------------------------------
     def ecc_all(
@@ -200,13 +185,13 @@ class BFSOracle:
     ) -> np.ndarray:
         """Eccentricity of every source (default: all vertices).
 
-        The naive full-ED sweep behind one call: the numpy backend
-        loops :meth:`BFSEngine.ecc_batch` in-process, the process
-        backend fans chunks across the pool.  Bit-identical either way.
+        The naive full-ED sweep behind one call: :meth:`BFSEngine.
+        ecc_batch` in the calling thread, or its sweeps spread over the
+        pool's threads.  Bit-identical either way.
 
         :dtype ecc: int32
         """
-        if self.backend == "process":
+        if self.workers != 1:
             return self.pool.eccentricities(sources, counter=counter)
         src = (
             np.arange(self.num_vertices, dtype=np.int64)
@@ -223,17 +208,16 @@ class BFSOracle:
         """Full distance vectors, one caller-owned row per source.
 
         Used by reference scans that need every ``dist(z, .)`` — the
-        batched sibling of calling :meth:`source_probe` in a loop.  The
-        numpy backend runs the bit-parallel lane sweeps of
-        :func:`repro.graph.msengine.batch_distance_rows` (identical
-        rows, one sweep per lane group instead of one BFS per source).
+        batched sibling of calling :meth:`source_probe` in a loop.  It
+        runs the bit-parallel lane sweeps of :func:`repro.graph.
+        msengine.batch_distance_rows` (identical rows, one sweep per
+        lane group instead of one BFS per source), on the pool's
+        threads when ``workers != 1``.
 
         :dtype rows: int32
         """
-        if self.backend == "process":
+        if self.workers != 1:
             return self.pool.distance_rows(sources, counter=counter)
-        from repro.graph.msengine import batch_distance_rows
-
         src = np.ascontiguousarray(sources, dtype=np.int64)
         return batch_distance_rows(self.graph, src, counter=counter)
 

@@ -50,24 +50,22 @@ __all__ = [
 def naive_directed_eccentricities(
     graph: DirectedGraph,
     counter: Optional[TraversalCounter] = None,
-    backend: str = "numpy",
-    workers: Optional[int] = None,
+    workers: Optional[int] = 1,
 ) -> np.ndarray:
     """One forward BFS per vertex — the directed oracle.
 
     Requires strong connectivity (raises otherwise).
-    ``backend="process"`` fans the per-vertex forward sweeps across a
-    shared-memory worker pool with bit-identical output.
+    ``workers != 1`` fans the per-vertex forward sweeps out over
+    threads with bit-identical output.
     """
-    oracle = DirectedBFSOracle(graph, backend=backend, workers=workers)
+    oracle = DirectedBFSOracle(graph, workers=workers)
     return oracle.ecc_all(counter=counter)
 
 
 def directed_eccentricities(
     graph: DirectedGraph,
     counter: Optional[TraversalCounter] = None,
-    backend: str = "numpy",
-    workers: Optional[int] = None,
+    workers: Optional[int] = 1,
 ) -> EccentricityResult:
     """Exact forward eccentricities with bound propagation.
 
@@ -75,17 +73,16 @@ def directed_eccentricities(
     (periphery probe) with the smallest-lower-bound vertex (center
     probe), each costing a forward + backward BFS pair.  Bound
     maintenance runs on :class:`BoundState` with the directed Lemma 3.1
-    (the ``dist_from_t`` hook).  With ``backend="process"`` each probe
-    pair is dispatched to the worker pool (forward and backward BFS run
-    concurrently on separate workers); the algorithm tag records which
-    backend actually ran.
+    (the ``dist_from_t`` hook).  With ``workers != 1`` the forward and
+    backward BFS of each probe pair run concurrently on two threads;
+    the algorithm tag records the thread count.
     """
     n = graph.num_vertices
     if n == 0:
         raise InvalidParameterError("graph must have at least one vertex")
     counter = counter if counter is not None else TraversalCounter()
     watch = Stopwatch()
-    oracle = DirectedBFSOracle(graph, backend=backend, workers=workers)
+    oracle = DirectedBFSOracle(graph, workers=workers)
 
     bounds = BoundState(n)
     pick_upper = True
@@ -113,8 +110,8 @@ def directed_eccentricities(
     elapsed = watch.elapsed()
     ecc = bounds.lower.astype(np.int32)
     algorithm = "DirectedECC"
-    if backend == "process":
-        algorithm = f"DirectedECC(process x{oracle.pool.workers})"
+    if workers != 1:
+        algorithm = f"DirectedECC(threads x{oracle.pool.workers})"
     return EccentricityResult(
         eccentricities=ecc,
         lower=ecc.copy(),
@@ -131,18 +128,17 @@ def directed_solver(
     graph: DirectedGraph,
     counter: Optional[TraversalCounter] = None,
     memoize_distances: bool = False,
-    backend: str = "numpy",
-    workers: Optional[int] = None,
+    workers: Optional[int] = 1,
 ) -> EccentricitySolver:
     """An :class:`EccentricitySolver` over the directed BFS oracle.
 
     The solver's :meth:`~EccentricitySolver.steps` iterator is the
     directed anytime mode: each snapshot leaves valid forward-ecc
-    bounds in ``solver.bounds``.  ``backend``/``workers`` configure the
-    oracle's traversal backend (:class:`DirectedBFSOracle`).
+    bounds in ``solver.bounds``.  ``workers`` configures the oracle's
+    batched traversals (:class:`DirectedBFSOracle`).
     """
     return EccentricitySolver(
-        DirectedBFSOracle(graph, backend=backend, workers=workers),
+        DirectedBFSOracle(graph, workers=workers),
         num_references=1,
         memoize_distances=memoize_distances,
         counter=counter,
@@ -152,8 +148,7 @@ def directed_solver(
 def directed_ifecc_eccentricities(
     graph: DirectedGraph,
     counter: Optional[TraversalCounter] = None,
-    backend: str = "numpy",
-    workers: Optional[int] = None,
+    workers: Optional[int] = 1,
 ) -> EccentricityResult:
     """Exact forward eccentricities with the IFECC scheme carried over
     to digraphs.
@@ -175,20 +170,17 @@ def directed_ifecc_eccentricities(
     cap closes the parity-stuck vertices wholesale — the same reason
     IFECC beats BoundECC on undirected graphs.
     """
-    solver = directed_solver(
-        graph, counter=counter, backend=backend, workers=workers
-    )
+    solver = directed_solver(graph, counter=counter, workers=workers)
     algorithm = "DirectedIFECC"
-    if backend == "process":
-        algorithm = f"DirectedIFECC(process x{solver.oracle.pool.workers})"
+    if workers != 1:
+        algorithm = f"DirectedIFECC(threads x{solver.oracle.pool.workers})"
     return solver.run(algorithm=algorithm)
 
 
 def directed_radius_and_diameter(
     graph: DirectedGraph,
     counter: Optional[TraversalCounter] = None,
-    backend: str = "numpy",
-    workers: Optional[int] = None,
+    workers: Optional[int] = 1,
 ) -> ExtremesResult:
     """Certified directed radius and diameter with early termination.
 
@@ -198,6 +190,6 @@ def directed_radius_and_diameter(
     eccentricity computation.
     """
     return oracle_radius_and_diameter(
-        DirectedBFSOracle(graph, backend=backend, workers=workers),
+        DirectedBFSOracle(graph, workers=workers),
         counter=counter,
     )

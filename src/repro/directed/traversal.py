@@ -1,5 +1,10 @@
 """Forward and backward BFS on directed graphs.
 
+Both run the native ``repro_bfs`` kernel (:mod:`repro.graph.native`)
+forced top-down over the forward or the reverse CSR, and fall back to
+the numpy level loop :func:`_bfs` when the kernel is not built.  Either
+way the distances and the counter totals are the same.
+
 Also home of :class:`DirectedBFSOracle`, the asymmetric-metric back-end
 of the generic solver: its reverse-distance hook is what lets
 :class:`repro.core.solver.EccentricitySolver` run the paper's Algorithm
@@ -9,7 +14,9 @@ single *backward* BFS that yields no forward eccentricity.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+import threading
+import weakref
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,16 +27,11 @@ from repro.errors import (
     InvalidParameterError,
     InvalidVertexError,
 )
-from repro.graph.traversal import TraversalCounter
+from repro.graph import native
+from repro.graph.engine import ALPHA, BETA
+from repro.parallel.pool import TraversalPool, pool_for, resolve_workers
 from repro.sentinels import UNREACHED
 from repro.directed.graph import DirectedGraph
-
-if TYPE_CHECKING:  # runtime import is lazy (multiprocessing is heavy)
-    from repro.parallel.pool import TraversalPool
-
-#: The traversal backends a :class:`DirectedBFSOracle` can select
-#: (mirrors :data:`repro.core.oracles.BACKENDS`).
-_BACKENDS = ("numpy", "process")
 
 __all__ = [
     "forward_bfs",
@@ -80,17 +82,86 @@ def _bfs(
     return dist
 
 
+#: A digraph's range-checked forward and backward CSR, in that order.
+_Views = Tuple[native.CSRView, native.CSRView]
+
+# Checking is O(n + m), so it is paid once per live digraph.
+_VIEWS: "weakref.WeakKeyDictionary[DirectedGraph, _Views]" = (
+    weakref.WeakKeyDictionary()
+)
+_VIEWS_LOCK = threading.Lock()
+
+
+def _csr_views(graph: DirectedGraph) -> _Views:
+    """The graph's forward and backward :class:`~repro.graph.native.CSRView`."""
+    with _VIEWS_LOCK:
+        views = _VIEWS.get(graph)
+        if views is None:
+            n = graph.num_vertices
+            views = (
+                native.CSRView(n, *graph.forward_view()),
+                native.CSRView(n, *graph.backward_view()),
+            )
+            _VIEWS[graph] = views
+    return views
+
+
+def _directed_bfs(
+    graph: DirectedGraph,
+    source: int,
+    counter: Optional[TraversalCounter],
+    backward: bool,
+) -> np.ndarray:
+    """:func:`_bfs` over one arc direction, on the C kernel when built.
+
+    The kernel runs forced top-down with per-call scratch, so threads
+    can share the graph.
+
+    :dtype dist: int32
+    """
+    n = graph.num_vertices
+    if not 0 <= source < n:
+        raise InvalidVertexError(source, n)
+    label = f"{'bwd' if backward else 'fwd'}:{source}"
+    kern = native.kernels()
+    if kern is None:
+        view = graph.backward_view() if backward else graph.forward_view()
+        return _bfs(*view, n, source, counter, label)
+    csr = _csr_views(graph)[1 if backward else 0]
+    dist = np.empty(n, dtype=np.int32)
+    out = np.zeros(4, dtype=np.int64)
+    buffers = (
+        dist,
+        np.empty(n, dtype=np.int32),  # level queue
+        np.empty(n, dtype=np.int32),  # bottom-up candidates (unused)
+        np.empty(n + 1, dtype=np.uint8),  # per-level directions
+        np.empty(n + 1, dtype=np.int64),  # per-level frontier sizes
+        out,
+    )
+    kern.bfs(
+        n,
+        csr.row_ptr_addr,
+        csr.col_idx_addr,
+        source,
+        -1,
+        native.MODE_CODES["top-down"],
+        ALPHA,
+        BETA,
+        *(buffer.ctypes.data for buffer in buffers),
+    )
+    if counter is not None:
+        _levels, scanned, _inspected, visited = out.tolist()
+        counter.record(scanned, visited, label=label)
+    return dist
+
+
 def forward_bfs(
     graph: DirectedGraph,
     source: int,
     counter: Optional[TraversalCounter] = None,
 ) -> np.ndarray:
     """Distances ``dist(source, v)`` along arc directions."""
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise InvalidVertexError(source, n)
-    indptr, indices = graph.forward_view()
-    return _bfs(indptr, indices, n, source, counter, f"fwd:{source}")
+    return _directed_bfs(graph, source, counter, backward=False)
 
 
 def backward_bfs(
@@ -99,11 +170,7 @@ def backward_bfs(
     counter: Optional[TraversalCounter] = None,
 ) -> np.ndarray:
     """Distances ``dist(v, source)`` — i.e. along *reversed* arcs."""
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise InvalidVertexError(source, n)
-    indptr, indices = graph.backward_view()
-    return _bfs(indptr, indices, n, source, counter, f"bwd:{source}")
+    return _directed_bfs(graph, source, counter, backward=True)
 
 
 def is_strongly_connected(graph: DirectedGraph) -> bool:
@@ -132,6 +199,11 @@ class DirectedBFSOracle:
       for the eccentricity: ``max_v dist(v, t)`` is the *backward*
       eccentricity, not the forward one being computed, so the solver
       skips the ``set_exact`` step for probed sweep sources.
+
+    With ``workers != 1`` the batched :meth:`ecc_all` and the
+    forward + backward pair of :meth:`source_probe` run on the threads
+    of a :class:`repro.parallel.pool.TraversalPool`; answers do not
+    change.
     """
 
     dtype = np.dtype(np.int32)
@@ -143,28 +215,20 @@ class DirectedBFSOracle:
     def __init__(
         self,
         graph: DirectedGraph,
-        backend: str = "numpy",
-        workers: Optional[int] = None,
-        pool: Optional["TraversalPool"] = None,
+        workers: Optional[int] = 1,
     ) -> None:
-        if backend not in _BACKENDS:
-            raise InvalidParameterError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
+        if workers is not None:
+            resolve_workers(workers)
         self.graph = graph
         self.num_vertices = graph.num_vertices
-        self.backend = backend
         self.workers = workers
-        self._pool = pool
 
     @property
-    def pool(self) -> "TraversalPool":
-        """The lazily-created worker pool (``backend="process"`` only)."""
-        if self._pool is None or self._pool.closed:
-            from repro.parallel.pool import pool_for
-
-            self._pool = pool_for(self.graph, workers=self.workers)
-        return self._pool
+    def pool(self) -> TraversalPool:
+        """The thread pool behind batched dispatch (``workers != 1``)."""
+        if self.workers == 1:
+            raise InvalidParameterError("workers=1 runs without a pool")
+        return pool_for(self.graph, workers=self.workers)
 
     def ecc_all(
         self,
@@ -187,7 +251,7 @@ class DirectedBFSOracle:
             bad = (src < 0) | (src >= n)
             if np.any(bad):
                 raise InvalidVertexError(int(src[bad][0]), n)
-        if self.backend == "process":
+        if self.workers != 1:
             ecc = self.pool.directed_eccentricities(src, counter=counter)
             if n > 1 and np.any(ecc < 0):
                 raise self.disconnected_error()
@@ -218,9 +282,8 @@ class DirectedBFSOracle:
         source: int,
         counter: Optional[TraversalCounter] = None,
     ) -> Tuple[float, np.ndarray, np.ndarray]:
-        if self.backend == "process":
-            # One round trip ships the forward + backward pair: the two
-            # traversals land on separate workers and run concurrently.
+        if self.workers != 1:
+            # The forward and backward traversals run concurrently.
             rows = self.pool.directed_probe_pair(source, counter=counter)
             fwd = sanitize.assert_owned(rows[0].copy())
             bwd = sanitize.assert_owned(rows[1].copy())

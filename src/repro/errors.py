@@ -103,11 +103,10 @@ class StoreFormatError(ReproError):
 
 
 class ParallelBackendError(ReproError, RuntimeError):
-    """Raised by the multiprocessing traversal backend (:mod:`repro.parallel`).
+    """Raised by the traversal thread pool (:mod:`repro.parallel`).
 
-    Fires when the process backend cannot deliver a batch: shared memory
-    is unavailable on the platform, a worker process died mid-dispatch,
-    or a worker reported an exception (whose traceback is carried in the
-    message).  Also a :class:`RuntimeError` so generic infrastructure
-    guards catch it without importing this module.
+    Fires when a pool cannot deliver a batch: the pool was closed, its
+    graph no longer exists, or a task raised (its traceback is carried
+    in the message).  Also a :class:`RuntimeError` so generic
+    infrastructure guards catch it without importing this module.
     """

@@ -529,10 +529,9 @@ bfs_distances` wrapper) must copy.
         :func:`~repro.graph.msengine.plan_lane_width` picks; small
         batches loop this engine.  Either way the per-source distances
         — and therefore the eccentricities — are bit-identical, and the
-        counter is credited one traversal per source.  This is the unit
-        of work the process backend (:mod:`repro.parallel.pool`) ships
-        to each worker, which is what puts the lane kernel under the
-        64-lane chunk dispatch.
+        counter is credited one traversal per source.  The traversal
+        pool (:mod:`repro.parallel.pool`) runs the same sweeps on its
+        threads.
 
         :mutates out: ``out[i]`` is overwritten with ``ecc(sources[i])``.
         :dtype out: int32

@@ -13,9 +13,9 @@ of the same loop.  This module owns the C side:
   path deliberately ignores ``$REPRO_STORE_DIR``: graph stores come and
   go per benchmark set-up, the compiled kernel does not.
 * **Races.**  Each process compiles into a private temporary file in
-  the cache directory and publishes it with :func:`os.replace`, so pool
-  workers and CLI processes that race on first use all load a complete
-  library, whichever rename won.
+  the cache directory and publishes it with :func:`os.replace`, so
+  processes that race on first use all load a complete library,
+  whichever rename won.
 * **Load.**  :mod:`ctypes` loads the library; its foreign calls release
   the GIL.  A sha256 of the library's bytes is appended to the cached
   file (the dynamic loader ignores trailing bytes) and checked before

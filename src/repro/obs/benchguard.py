@@ -136,7 +136,7 @@ def _extract_parallel_backend(
         _claim(
             artifact,
             bool(doc.get("bit_identical", False)),
-            "backend shootout bit-identical overall",
+            "parallel shootout bit-identical overall",
         )
     )
     return headlines, findings

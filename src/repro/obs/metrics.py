@@ -292,10 +292,10 @@ class MetricsRegistry:
     def merge_snapshot(self, snapshot: Dict[str, Dict[str, Any]]) -> None:
         """Fold another registry's :meth:`snapshot` into this one.
 
-        The cross-process half of worker span propagation: pool workers
-        accumulate per-task metrics into a private registry, ship its
-        snapshot back with the task result, and the parent merges every
-        delta here.  Counters add; gauges replay ``min``/``max``/
+        The metrics half of worker span propagation: each traversal
+        pool task accumulates metrics into a private registry, hands
+        its snapshot back with the task result, and the dispatching
+        thread merges every delta here.  Counters add; gauges replay ``min``/``max``/
         ``value`` (last write wins, extremes survive); histograms add
         bucket-for-bucket and refuse a bound mismatch — fixed layouts
         are the comparability contract, so a mismatch means the two

@@ -17,7 +17,7 @@ the solver and engines already emit — no new instrumentation sites:
     carry raw traversal work (one run / ``num_sources`` lane
     traversals), so batch algorithms with no probe loop still show a
     moving rate.  ``parallel.batch`` spans are deliberately *not*
-    counted: their worker-side children are re-emitted individually
+    counted: their task-side children are re-emitted individually
     (see :mod:`repro.parallel.pool`) and would double-count.
 ``solver.run`` spans
     closing one finalises the view (a newline instead of the

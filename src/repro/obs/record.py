@@ -55,13 +55,13 @@ RECORD_VERSION = 1
 #: convergence table).
 PROBE_SPAN = "solver.probe"
 
-#: The span the process pool emits per dispatch, and the event the
+#: The span the traversal pool emits per dispatch, and the event the
 #: MS-BFS lane engine emits per sweep — the two batch-work shapes the
 #: summary accounts for alongside single-source probes.
 BATCH_SPAN = "parallel.batch"
 MSBFS_EVENT = "msbfs.run"
 
-#: The per-task span workers buffer; re-emitted events carry a
+#: The per-task span worker threads buffer; re-emitted events carry a
 #: ``worker=`` attribute (see :mod:`repro.parallel.pool`).
 TASK_SPAN = "parallel.task"
 
@@ -256,7 +256,7 @@ class RunRecord:
         return [e for e in self.events if e.get("name") == MSBFS_EVENT]
 
     def deterministic_events(self) -> List[Event]:
-        """Events with wall-clock keys stripped (see obs.trace)."""
+        """Events with volatile keys stripped (see obs.trace)."""
         return deterministic_view(self.events)
 
     def summarize(self) -> str:
@@ -309,7 +309,7 @@ class RunRecord:
         batches = self.batch_events()
         sweeps = self.msbfs_events()
         if batches or sweeps:
-            # Batch algorithms (naive ED, MS-BFS, the process pool) do
+            # Batch algorithms (naive ED, MS-BFS, the traversal pool) do
             # their traversal work outside solver.probe spans; account
             # for it here so a summarized record never undercounts.
             lines.append("batch work:")

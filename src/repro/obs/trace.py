@@ -22,20 +22,24 @@ Design rules, in order:
    dicts so any sink (or test) can consume them without this module.
 3. **Determinism modulo timestamps.**  Every event carries a
    monotonically increasing ``seq`` and its payload is fully determined
-   by the computation; wall-clock fields (``t``, ``t0``, ``dur``) are
-   the only nondeterministic keys, and :func:`deterministic_view`
-   strips them — that is the equality tests and golden traces use.
+   by the computation; wall-clock fields (``t``, ``t0``, ``dur``) and
+   the pool's scheduling tags are the only nondeterministic keys, and
+   :func:`deterministic_view` strips them — that is the equality tests
+   and golden traces use.
 
 The module-level *active tracer* (:func:`get_tracer` /
 :func:`set_tracer` / the :func:`tracing` context manager) is how deeply
 buried call sites — the pooled BFS engine, the Dijkstra kernel — find
 the current sink without threading a tracer argument through every
-signature.
+signature.  A thread can shadow it for itself with
+:func:`thread_tracing`; the traversal pool's worker threads do, so they
+never write to the process-wide span stack.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -67,6 +71,7 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "tracing",
+    "thread_tracing",
     "deterministic_view",
 ]
 
@@ -76,11 +81,12 @@ __all__ = [
 #: :func:`deterministic_view`), plus the emitting site's attributes.
 Event = Dict[str, Any]
 
-#: Wall-clock keys — the only nondeterministic part of an event.
-#: ``worker_seconds`` is the per-worker timing map on ``parallel.batch``
-#: spans (:mod:`repro.parallel.pool`); like ``dur`` it varies run to
-#: run while everything else on the span is deterministic.
-TIMING_KEYS = ("t", "t0", "dur", "worker_seconds")
+#: The only nondeterministic keys of an event: wall-clock times, plus
+#: what depends on which pool thread ran a task (:mod:`repro.parallel.
+#: pool`) — ``worker_seconds``, the per-thread timing map on
+#: ``parallel.batch`` spans, and the ``worker`` tag on replayed task
+#: events.  Everything else is fixed by the computation.
+VOLATILE_KEYS = ("t", "t0", "dur", "worker_seconds", "worker")
 
 
 class Sink:
@@ -318,13 +324,14 @@ class Tracer:
     ) -> List[int]:
         """Re-emit events captured by *another* tracer into this sink.
 
-        The cross-process merge primitive: a pool worker buffers its
-        spans into a private :class:`MemorySink` with its own ``seq``
-        space; the parent replays them here, allocating fresh ``seq``
-        values and remapping each event's ``parent`` through the same
-        mapping so causal nesting survives the move.  Events that were
-        roots in the worker (``parent is None`` or a seq the worker
-        never shipped) are attached to ``parent`` — the enclosing
+        The merge primitive of the traversal pool: each task buffers
+        its spans into a private :class:`MemorySink` with its own
+        ``seq`` space; the dispatching thread replays them here,
+        allocating fresh ``seq`` values and remapping each event's
+        ``parent`` through the same mapping so causal nesting survives
+        the move.  Events that were roots in the task (``parent is
+        None`` or a seq the buffer does not hold) are attached to
+        ``parent`` — the enclosing
         ``parallel.batch`` span.  ``attrs`` (e.g. ``worker=3``) are
         stamped onto every re-emitted event.
 
@@ -332,7 +339,7 @@ class Tracer:
         """
         if not self.enabled:
             return []
-        # Spans are emitted at *completion*, so a worker stream can
+        # Spans are emitted at *completion*, so a task stream can
         # reference a parent seq whose span event appears later (the
         # enclosing span closes last).  Allocate the whole seq mapping
         # up front — in old-seq (creation) order, preserving the
@@ -419,9 +426,23 @@ def stopwatch() -> Stopwatch:
 _ACTIVE = Tracer()
 
 
+class _ThreadTracer(threading.local):
+    """A per-thread override of :data:`_ACTIVE` (``None``: no override)."""
+
+    tracer: Optional[Tracer] = None
+
+
+_THREAD = _ThreadTracer()
+
+
 def get_tracer() -> Tracer:
-    """The active tracer (never None; disabled by default)."""
-    return _ACTIVE
+    """The active tracer (never None; disabled by default).
+
+    Inside :func:`thread_tracing` the calling thread gets its own
+    tracer instead of the process-wide one.
+    """
+    override = _THREAD.tracer
+    return _ACTIVE if override is None else override
 
 
 def set_tracer(tracer: Tracer) -> Tracer:
@@ -453,14 +474,30 @@ def tracing(
         set_tracer(previous)
 
 
+@contextmanager
+def thread_tracing(tracer: Tracer) -> Iterator[Tracer]:
+    """Make ``tracer`` the active tracer of the calling thread only.
+
+    Other threads keep seeing the process-wide tracer.  The traversal
+    pool runs every task under one, so worker threads never touch the
+    shared span stack (see :mod:`repro.parallel.pool`).
+    """
+    previous = _THREAD.tracer
+    _THREAD.tracer = tracer
+    try:
+        yield tracer
+    finally:
+        _THREAD.tracer = previous
+
+
 def deterministic_view(events: List[Event]) -> List[Event]:
-    """Events with wall-clock keys stripped — the comparable residue.
+    """Events with :data:`VOLATILE_KEYS` stripped — the comparable residue.
 
     Two runs of the same algorithm on the same graph produce identical
     deterministic views (the trace-determinism contract golden-trace
-    tests pin); only the stripped ``t``/``t0``/``dur`` values differ.
+    tests pin); only the stripped times and worker tags differ.
     """
     return [
-        {k: v for k, v in event.items() if k not in TIMING_KEYS}
+        {k: v for k, v in event.items() if k not in VOLATILE_KEYS}
         for event in events
     ]

@@ -44,12 +44,9 @@ than :data:`STORE_VERSION`; additive changes (new slot, new flag bit)
 bump the version and stay readable by tolerating unknown trailing slots
 only if a future revision defines them — v1 readers are strict.
 
-The same bytes also travel without a file.  :func:`encode_store` builds
-the container image that :func:`save_store` writes; the process backend
-(:mod:`repro.parallel.shm`) copies it into a shared-memory segment
-instead, and workers read it back with :func:`parse_header` and
-:func:`image_arrays`.  This module is therefore the only place that
-encodes or decodes graph bytes.
+:func:`encode_store` builds the container image that :func:`save_store`
+writes, and :func:`parse_header` reads one back, so this module is the
+only place that encodes or decodes graph bytes.
 """
 
 from __future__ import annotations
@@ -83,7 +80,6 @@ __all__ = [
     "read_info",
     "parse_header",
     "map_store_arrays",
-    "image_arrays",
     "graph_from_arrays",
     "open_store",
     "verify_store",
@@ -217,8 +213,7 @@ class StoreImage:
 
     :meth:`chunks` yields the header and each slot payload at its byte
     offset; the gaps between them are zero padding.  :func:`save_store`
-    streams the chunks into a file, and the process backend copies them
-    into a shared-memory segment — both end up holding the same bytes.
+    streams the chunks into a file.
     """
 
     info: StoreInfo
@@ -475,25 +470,6 @@ def map_store_arrays(info: StoreInfo) -> Dict[str, np.ndarray]:
     return views
 
 
-def image_arrays(info: StoreInfo, buffer: Any) -> Dict[str, np.ndarray]:
-    """Views of every slot in ``info`` over an in-memory container.
-
-    ``buffer`` holds the bytes :func:`encode_store` produced (the process
-    backend keeps them in a shared-memory segment); each view aliases it
-    directly, so nothing is copied.  The views live only as long as the
-    buffer stays mapped.
-    """
-    return {
-        entry.key: np.ndarray(
-            (entry.length,),
-            dtype=np.dtype(entry.dtype),
-            buffer=buffer,
-            offset=entry.offset,
-        )
-        for entry in info.arrays
-    }
-
-
 def _check_indptr(info: StoreInfo, key: str, indptr: np.ndarray) -> None:
     """Monotonicity + endpoint checks on a mapped row-pointer array."""
     if len(indptr) == 0 or indptr[0] != 0:
@@ -511,7 +487,7 @@ def _check_indptr(info: StoreInfo, key: str, indptr: np.ndarray) -> None:
 
 # reprolint R1: this module is on the CSR constructor allowlist — it is
 # the one place that rebuilds frozen zero-copy graphs over foreign bytes
-# (mapped store pages, or a container image in shared memory).
+# (mapped store pages).
 def graph_from_arrays(
     info: StoreInfo, views: Dict[str, np.ndarray]
 ) -> Any:
@@ -583,9 +559,8 @@ def open_store(path: PathLike, verify: bool = False) -> Any:
     open trusts the fingerprint written at save time).
 
     The opened graph is registered with :func:`source_of`, so
-    downstream layers (the process-pool backend) can rediscover the
-    backing file and attach workers to it instead of re-publishing the
-    CSR through shared memory.
+    downstream layers (the CLI's run-record header) can rediscover the
+    backing file.
     """
     info = read_info(path)
     views = map_store_arrays(info)

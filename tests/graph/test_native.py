@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 
 from helpers import graph_corpus, random_graph
 from repro.counters import TraversalCounter
+from repro.directed.graph import DirectedGraph
+from repro.directed.traversal import backward_bfs, forward_bfs
 from repro.errors import GraphConstructionError
 from repro.graph import native
 from repro.graph.engine import BFSEngine
@@ -131,6 +133,28 @@ class TestBitIdentity:
                 for size in (1, 9, 64, 70, 150, 256)
             ]
             _assert_same_sweep(graph, batches, (mode,), LIMITS)
+
+    @pytest.mark.parametrize("n, arcs", [(1, 0), (40, 30), (2_000, 8_000)])
+    def test_directed_bfs(self, n, arcs):
+        # Random arcs leave vertices unreachable in both directions.
+        rng = np.random.default_rng(n)
+        graph = DirectedGraph.from_arcs(
+            rng.integers(0, n, size=(arcs, 2)).tolist(), num_vertices=n
+        )
+        loaded = _loaded()
+        for bfs in (forward_bfs, backward_bfs):
+            for source in rng.integers(0, n, size=min(n, 55)).tolist():
+
+                def run():
+                    counter = TraversalCounter()
+                    dist = bfs(graph, source, counter=counter)
+                    return dist, _totals(counter), counter.history
+
+                want = _under(NUMPY, run)
+                got = _under(loaded, run)
+                np.testing.assert_array_equal(got[0], want[0])
+                assert got[0].dtype == want[0].dtype
+                assert got[1:] == want[1:], (bfs.__name__, source)
 
     @settings(max_examples=40, deadline=None)
     @given(

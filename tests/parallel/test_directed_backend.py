@@ -1,10 +1,9 @@
-"""Directed process backend ≡ numpy backend, bit for bit.
+"""Directed traversals on pool threads ≡ the serial oracle, bit for bit.
 
-PR 2's contract extended to digraphs: the worker pool publishes both
-CSR directions over shared memory, so forward/backward traversals,
-probe pairs, and full directed-eccentricity sweeps must agree exactly
-with the in-process oracle — including counter totals, which pin the
-width-shipped chunk grouping.
+The pool's threads read both CSR directions of the caller's digraph,
+so forward/backward traversals, probe pairs, and full
+directed-eccentricity sweeps must agree exactly with ``workers=1`` —
+including counter totals.
 """
 
 from __future__ import annotations
@@ -26,12 +25,6 @@ from repro.errors import (
     ParallelBackendError,
 )
 from repro.parallel.pool import TraversalPool, shutdown_pools
-from repro.parallel.shm import shared_memory_available
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable on this platform",
-)
 
 _N = 150
 
@@ -116,20 +109,22 @@ class TestPoolDirectedEntryPoints:
 
 class TestOracleBackend:
     def test_backend_validated(self, graph):
+        with pytest.raises(TypeError):
+            DirectedBFSOracle(graph, backend="process")
         with pytest.raises(InvalidParameterError):
-            DirectedBFSOracle(graph, backend="quantum")
+            DirectedBFSOracle(graph, workers=0)
 
     def test_ecc_all_matches_numpy(self, graph):
-        numpy_ecc = DirectedBFSOracle(graph).ecc_all()
-        oracle = DirectedBFSOracle(graph, backend="process", workers=2)
+        serial_ecc = DirectedBFSOracle(graph).ecc_all()
+        oracle = DirectedBFSOracle(graph, workers=2)
         try:
-            assert np.array_equal(oracle.ecc_all(), numpy_ecc)
+            assert np.array_equal(oracle.ecc_all(), serial_ecc)
         finally:
             oracle.pool.close()
 
     def test_source_probe_matches_numpy(self, graph):
         base = DirectedBFSOracle(graph)
-        oracle = DirectedBFSOracle(graph, backend="process", workers=2)
+        oracle = DirectedBFSOracle(graph, workers=2)
         try:
             for source in (0, 9, 148):
                 ecc_n, fwd_n, bwd_n = base.source_probe(source)
@@ -142,12 +137,12 @@ class TestOracleBackend:
 
     def test_ecc_all_raises_on_weakly_connected(self):
         # A one-way path is weakly but not strongly connected: the
-        # -1 sentinel from the workers must surface as the same error
-        # the numpy path raises.
+        # -1 sentinel from the pool must surface as the same error the
+        # serial path raises.
         graph = DirectedGraph.from_arcs([(0, 1), (1, 2)], num_vertices=3)
         with pytest.raises(DisconnectedGraphError):
             DirectedBFSOracle(graph).ecc_all()
-        oracle = DirectedBFSOracle(graph, backend="process", workers=1)
+        oracle = DirectedBFSOracle(graph, workers=2)
         try:
             with pytest.raises(DisconnectedGraphError):
                 oracle.ecc_all()
@@ -159,28 +154,24 @@ class TestAlgorithmsAcrossBackends:
     def test_naive_matches(self, graph):
         assert np.array_equal(
             naive_directed_eccentricities(graph),
-            naive_directed_eccentricities(
-                graph, backend="process", workers=2
-            ),
+            naive_directed_eccentricities(graph, workers=2),
         )
 
     def test_bound_propagation_matches_and_tags(self, graph):
         serial = directed_eccentricities(graph)
-        pooled = directed_eccentricities(graph, backend="process", workers=2)
+        pooled = directed_eccentricities(graph, workers=2)
         assert np.array_equal(
             serial.eccentricities, pooled.eccentricities
         )
         assert serial.algorithm == "DirectedECC"
-        assert pooled.algorithm == "DirectedECC(process x2)"
+        assert pooled.algorithm == "DirectedECC(threads x2)"
         assert serial.num_bfs == pooled.num_bfs
 
     def test_ifecc_matches_and_tags(self, graph):
         serial = directed_ifecc_eccentricities(graph)
-        pooled = directed_ifecc_eccentricities(
-            graph, backend="process", workers=2
-        )
+        pooled = directed_ifecc_eccentricities(graph, workers=2)
         assert np.array_equal(
             serial.eccentricities, pooled.eccentricities
         )
-        assert pooled.algorithm == "DirectedIFECC(process x2)"
+        assert pooled.algorithm == "DirectedIFECC(threads x2)"
         assert serial.num_bfs == pooled.num_bfs

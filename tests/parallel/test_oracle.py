@@ -1,9 +1,9 @@
-"""ParallelBFSOracle: golden-corpus equivalence and backend plumbing.
+"""The oracles' ``workers`` knob: golden-corpus equivalence and plumbing.
 
 The golden file captured from the seed implementation
 (``tests/data/golden_ifecc.json``) pins IFECC's observable behaviour;
-running the same corpus with ``backend="process"`` must reproduce it
-bit for bit — the backend changes where batches execute, never answers.
+running the same corpus with ``workers=2`` must reproduce it bit for
+bit — the thread count changes where batches execute, never answers.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from repro.core.kifecc import approximate_eccentricities
 from repro.core.oracles import BFSOracle
 from repro.counters import TraversalCounter
 from repro.errors import InvalidParameterError
-from repro.parallel import ParallelBFSOracle, shutdown_pools
-from repro.parallel.shm import shared_memory_available
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable on this platform",
-)
+from repro.parallel import pool_for, shutdown_pools
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +39,7 @@ def test_ifecc_golden_with_process_backend(name, golden):
     graph = build_corpus()[name]
     counter = TraversalCounter()
     engine = IFECC(
-        graph, num_references=1, counter=counter,
-        backend="process", workers=2,
+        graph, num_references=1, counter=counter, workers=2,
     )
     for _ in engine.steps():
         pass
@@ -59,9 +52,7 @@ def test_ifecc_golden_with_process_backend(name, golden):
 @pytest.mark.parametrize("name", sorted(build_corpus()))
 def test_kifecc_golden_with_process_backend(name, golden):
     graph = build_corpus()[name]
-    result = approximate_eccentricities(
-        graph, k=5, backend="process", workers=2
-    )
+    result = approximate_eccentricities(graph, k=5, workers=2)
     want = golden[name]["kifecc_k5"]
     assert result.eccentricities.tolist() == want["est"]
     assert result.num_bfs == want["num_bfs"]
@@ -71,57 +62,72 @@ def test_kifecc_golden_with_process_backend(name, golden):
 class TestBatchedEntryPoints:
     def test_ecc_all_matches_numpy_backend(self):
         graph = build_corpus()["ba150"]
-        numpy_oracle = BFSOracle(graph)
-        process_oracle = ParallelBFSOracle(graph, workers=2)
+        serial_oracle = BFSOracle(graph)
+        threaded_oracle = BFSOracle(graph, workers=2)
         assert np.array_equal(
-            process_oracle.ecc_all(), numpy_oracle.ecc_all()
+            threaded_oracle.ecc_all(), serial_oracle.ecc_all()
         )
 
     def test_distance_rows_match_numpy_backend(self):
         graph = build_corpus()["ws120"]
-        numpy_oracle = BFSOracle(graph)
-        process_oracle = ParallelBFSOracle(graph, workers=2)
+        serial_oracle = BFSOracle(graph)
+        threaded_oracle = BFSOracle(graph, workers=2)
         sources = [0, 7, 101]
         assert np.array_equal(
-            process_oracle.distance_rows(sources),
-            numpy_oracle.distance_rows(sources),
+            threaded_oracle.distance_rows(sources),
+            serial_oracle.distance_rows(sources),
         )
 
-    def test_single_probes_stay_sequential(self):
+    def test_single_probes_stay_sequential(self, monkeypatch):
         # source/sweep probes must not touch the pool at all.
         graph = build_corpus()["paper"]
-        oracle = ParallelBFSOracle(graph, workers=2)
+        oracle = BFSOracle(graph, workers=2)
+        monkeypatch.setattr(
+            "repro.core.oracles.pool_for", _no_pool, raising=True
+        )
         ecc, dist, rdist = oracle.source_probe(0)
         sweep_ecc, _sweep = oracle.sweep_probe(0)
         assert ecc == sweep_ecc
         assert dist is rdist
-        assert oracle._pool is None  # never built
 
     def test_close_then_reuse_rebuilds_pool(self):
         graph = build_corpus()["paper"]
-        oracle = ParallelBFSOracle(graph, workers=1)
+        oracle = BFSOracle(graph, workers=2)
         first = oracle.ecc_all()
-        oracle.close()
+        oracle.pool.close()
         assert np.array_equal(oracle.ecc_all(), first)
-        oracle.close()
+        assert not oracle.pool.closed
 
 
 class TestBackendFlag:
     def test_unknown_backend_rejected(self):
+        # `workers` alone picks the execution; no `backend` is accepted.
         graph = build_corpus()["paper"]
-        with pytest.raises(InvalidParameterError, match="backend"):
-            BFSOracle(graph, backend="gpu")
+        with pytest.raises(TypeError, match="backend"):
+            BFSOracle(graph, backend="process")
+        with pytest.raises(InvalidParameterError, match="workers"):
+            BFSOracle(graph, workers=0)
 
     def test_pool_property_requires_process_backend(self):
         graph = build_corpus()["paper"]
         with pytest.raises(InvalidParameterError):
             BFSOracle(graph).pool
+        assert BFSOracle(graph, workers=2).pool is pool_for(graph)
 
-    def test_numpy_backend_never_imports_parallel_pool(self):
+    def test_numpy_backend_never_imports_parallel_pool(self, monkeypatch):
+        # The default workers=1 runs batches in the calling thread.
         graph = build_corpus()["paper"]
         oracle = BFSOracle(graph)
-        assert oracle.backend == "numpy"
+        assert oracle.workers == 1
+        monkeypatch.setattr(
+            "repro.core.oracles.pool_for", _no_pool, raising=True
+        )
         assert np.array_equal(
             oracle.ecc_all([0, 1]),
             oracle.engine.ecc_batch(np.asarray([0, 1], dtype=np.int64)),
         )
+        assert oracle.distance_rows([0, 1]).shape == (2, graph.num_vertices)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was requested")

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import gc
-import os
-import time
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -24,12 +25,6 @@ from repro.parallel.pool import (
     pool_for,
     resolve_workers,
     shutdown_pools,
-)
-from repro.parallel.shm import shared_memory_available
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable on this platform",
 )
 
 
@@ -78,11 +73,15 @@ class TestEquivalence:
     def test_msbfs_rows_match_inprocess(self, graph, pool):
         sources = np.arange(150, dtype=np.int64)
         want = multi_source_distances(graph, sources)
-        assert np.array_equal(pool.msbfs_distance_rows(sources), want)
+        assert np.array_equal(pool.distance_rows(sources), want)
+        assert np.array_equal(
+            multi_source_distances(graph, sources, workers=2), want
+        )
 
     def test_msbfs_eccentricities_match_inprocess(self, graph, pool):
         want = msbfs_eccentricities(graph)
-        assert np.array_equal(pool.msbfs_eccentricities(), want)
+        assert np.array_equal(pool.eccentricities(), want)
+        assert np.array_equal(msbfs_eccentricities(graph, workers=2), want)
 
     def test_counter_totals_match_serial(self, graph, pool):
         serial = TraversalCounter()
@@ -94,6 +93,43 @@ class TestEquivalence:
         assert merged.bfs_runs == serial.bfs_runs
         assert merged.edges_scanned == serial.edges_scanned
         assert merged.edges_inspected == serial.edges_inspected
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bit_identical_to_serial(self, graph, workers):
+        # Threads are not cores: the same tasks run whatever the host.
+        everyone = np.arange(graph.num_vertices, dtype=np.int64)
+        rows_sources = [5, 0, 5, 99] + list(range(100, 300))
+        serial_ecc, threaded_ecc = TraversalCounter(), TraversalCounter()
+        serial_rows, threaded_rows = TraversalCounter(), TraversalCounter()
+        want_ecc = engine_for(graph).ecc_batch(everyone, counter=serial_ecc)
+        want_rows = multi_source_distances(
+            graph, rows_sources, counter=serial_rows
+        )
+        pool = TraversalPool(graph, workers=workers)
+        got_ecc = pool.eccentricities(counter=threaded_ecc)
+        got_rows = pool.distance_rows(rows_sources, counter=threaded_rows)
+        assert np.array_equal(got_ecc, want_ecc)
+        assert np.array_equal(got_rows, want_rows)
+        assert threaded_ecc == serial_ecc
+        assert threaded_rows == serial_rows
+
+    def test_many_threads_lose_no_update(self, graph):
+        # More threads than cores, switching as often as the interpreter
+        # allows: a lost result slot or counter merge would show here.
+        serial = TraversalCounter()
+        want = engine_for(graph).ecc_batch(
+            np.arange(graph.num_vertices, dtype=np.int64), counter=serial
+        )
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = TraversalPool(graph, workers=8)
+            for _ in range(5):
+                merged = TraversalCounter()
+                assert np.array_equal(pool.eccentricities(counter=merged), want)
+                assert merged == serial
+        finally:
+            sys.setswitchinterval(previous)
 
     def test_empty_sources(self, pool):
         assert pool.eccentricities([]).shape == (0,)
@@ -138,7 +174,6 @@ class TestObservability:
         assert len(spans) == 1
         span = spans[0]
         assert span["kind"] == "ecc"
-        assert span["backend"] == "process"
         assert span["workers"] == 2
         assert span["num_sources"] == 5
         assert sum(span["chunks"]) == 5
@@ -172,25 +207,24 @@ class TestLifecycle:
             pool.eccentricities([0])
 
     def test_no_leaked_segments_or_workers_after_gc(self, graph):
-        from multiprocessing import shared_memory
-
+        # Worker threads live for one dispatch; the pool pins nothing.
         pool = TraversalPool(graph, workers=2)
-        pool.eccentricities([0, 1, 2])  # materialise the out segment too
-        resources = pool._resources
-        graph_segment = resources.graph_share.name
-        out_segment = resources.out_segment.name
-        pids = [proc.pid for proc in resources.processes]
-        del pool, resources
+        pool.eccentricities()
+        assert not [
+            thread
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-traversal-")
+        ]
+
+    def test_pool_does_not_keep_its_graph_alive(self):
+        graph = barabasi_albert(60, 2, seed=3)
+        pool = pool_for(graph, workers=2)
+        ref = weakref.ref(graph)
+        del graph
         gc.collect()
-        for name in (graph_segment, out_segment):
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            if not any(_pid_alive(pid) for pid in pids):
-                break
-            time.sleep(0.05)
-        assert not any(_pid_alive(pid) for pid in pids)
+        assert ref() is None
+        with pytest.raises(ParallelBackendError, match="no longer exists"):
+            pool.eccentricities([0])
 
     def test_pool_for_caches_per_graph(self, graph):
         first = pool_for(graph, workers=1)
@@ -213,15 +247,3 @@ class TestLifecycle:
             assert pool.eccentricities([0]).shape == (1,)
         assert pool.closed
 
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except (ProcessLookupError, PermissionError):
-        return False
-    # Reap a zombie child if the pool's join missed it.
-    try:
-        done, _status = os.waitpid(pid, os.WNOHANG)
-        return done == 0
-    except ChildProcessError:
-        return True

@@ -1,11 +1,12 @@
-"""Worker span propagation: cross-process telemetry merged into one record.
+"""Worker span propagation: per-task telemetry merged into one record.
 
-The acceptance scenario for the worker-telemetry merge: a ``workers=2``
-process-backend run, traced, must produce a *single* run record whose
-stream contains the worker-originated spans — valid ``parent`` nesting
-under the owning ``parallel.batch`` span, ``worker=`` tags on every
-merged event — with metric counters bit-identical to the same batch run
-serially.
+The acceptance scenario for the worker-telemetry merge: a traced
+``workers=2`` run must produce a *single* run record whose stream
+contains the task spans buffered on the pool threads — valid
+``parent`` nesting under the owning ``parallel.batch`` span,
+``worker=`` tags on every merged event — with metric counters
+bit-identical to the same batch run serially, and the same
+deterministic view on every run.
 """
 
 from __future__ import annotations
@@ -19,12 +20,6 @@ from repro.graph.generators import barabasi_albert
 from repro.obs.record import RunRecord
 from repro.obs.trace import MemorySink, Tracer, deterministic_view, tracing
 from repro.parallel.pool import shutdown_pools
-from repro.parallel.shm import shared_memory_available
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable on this platform",
-)
 
 
 @pytest.fixture(scope="module")
@@ -32,21 +27,25 @@ def graph():
     return barabasi_albert(300, 3, seed=21)
 
 
-@pytest.fixture(scope="module")
-def traced_process_run(graph):
-    """One traced workers=2 process-backend run, packaged as a record."""
+def _traced_run(graph):
+    """One traced workers=2 run, packaged as a record."""
     sink = MemorySink()
     with tracing(sink) as tracer:
-        result = naive_eccentricities(graph, backend="process", workers=2)
+        result = naive_eccentricities(graph, workers=2)
         metrics = tracer.metrics.snapshot()
     record = RunRecord.from_run(
         result,
         graph,
         sink.events,
-        config={"command": "naive", "backend": "process", "workers": 2},
+        config={"command": "naive", "workers": 2},
         metrics=metrics,
     )
-    yield result, record, metrics
+    return result, record, metrics
+
+
+@pytest.fixture(scope="module")
+def traced_pool_run(graph):
+    yield _traced_run(graph)
     shutdown_pools()
 
 
@@ -59,8 +58,8 @@ def _events_by_seq(record):
 
 
 class TestWorkerSpanMerge:
-    def test_single_record_contains_worker_spans(self, traced_process_run):
-        _result, record, _metrics = traced_process_run
+    def test_single_record_contains_worker_spans(self, traced_pool_run):
+        _result, record, _metrics = traced_pool_run
         tasks = [
             e for e in record.events if e.get("name") == "parallel.task"
         ]
@@ -72,8 +71,8 @@ class TestWorkerSpanMerge:
         ]
         assert engine_events, "no worker-originated engine events merged"
 
-    def test_worker_tag_on_every_merged_event(self, traced_process_run):
-        _result, record, _metrics = traced_process_run
+    def test_worker_tag_on_every_merged_event(self, traced_pool_run):
+        _result, record, _metrics = traced_pool_run
         batches = record.batch_events()
         assert len(batches) == 1
         workers_seen = set()
@@ -83,8 +82,8 @@ class TestWorkerSpanMerge:
                 workers_seen.add(event["worker"])
         assert workers_seen <= {0, 1}
 
-    def test_parent_nesting_is_valid(self, traced_process_run):
-        _result, record, _metrics = traced_process_run
+    def test_parent_nesting_is_valid(self, traced_pool_run):
+        _result, record, _metrics = traced_pool_run
         by_seq = _events_by_seq(record)
         batch_seq = record.batch_events()[0]["seq"]
         for event in record.events:
@@ -101,8 +100,8 @@ class TestWorkerSpanMerge:
             if event.get("name") == "msbfs.run":
                 assert by_seq[parent]["name"] == "parallel.task"
 
-    def test_counters_bit_identical_to_serial(self, graph, traced_process_run):
-        _result, _record, process_metrics = traced_process_run
+    def test_counters_bit_identical_to_serial(self, graph, traced_pool_run):
+        _result, _record, pool_metrics = traced_pool_run
         serial_sink = MemorySink()
         with tracing(serial_sink) as tracer:
             engine_for(graph).ecc_batch(
@@ -114,35 +113,45 @@ class TestWorkerSpanMerge:
             for name, data in serial_metrics.items()
             if data["type"] == "counter"
         }
-        process_counters = {
+        pool_counters = {
             name: data["value"]
-            for name, data in process_metrics.items()
+            for name, data in pool_metrics.items()
             if data["type"] == "counter"
         }
         assert serial_counters, "serial run produced no counters"
         for name, value in serial_counters.items():
-            assert process_counters.get(name) == value, name
+            assert pool_counters.get(name) == value, name
 
-    def test_eccentricities_match_serial(self, graph, traced_process_run):
-        result, _record, _metrics = traced_process_run
+    def test_eccentricities_match_serial(self, graph, traced_pool_run):
+        result, _record, _metrics = traced_pool_run
         want = engine_for(graph).ecc_batch(
             np.arange(graph.num_vertices, dtype=np.int64)
         )
         assert np.array_equal(result.eccentricities, want)
 
     def test_record_round_trips_with_worker_events(
-        self, traced_process_run, tmp_path
+        self, traced_pool_run, tmp_path
     ):
-        _result, record, _metrics = traced_process_run
-        path = str(tmp_path / "process_run.jsonl")
+        _result, record, _metrics = traced_pool_run
+        path = str(tmp_path / "pool_run.jsonl")
         record.write_jsonl(path)
         back = RunRecord.read_jsonl(path)
         assert deterministic_view(back.events) == deterministic_view(
             record.events
         )
 
-    def test_summarize_batch_section(self, traced_process_run):
-        _result, record, _metrics = traced_process_run
+    def test_two_runs_share_one_deterministic_view(
+        self, graph, traced_pool_run
+    ):
+        _result, first, _metrics = traced_pool_run
+        _result, second, _metrics = _traced_run(graph)
+        assert len(first.events) == len(second.events)
+        assert deterministic_view(first.events) == deterministic_view(
+            second.events
+        )
+
+    def test_summarize_batch_section(self, traced_pool_run):
+        _result, record, _metrics = traced_pool_run
         text = record.summarize()
         assert "batch work:" in text
         assert "pool dispatches=1" in text

@@ -3,7 +3,8 @@
 Chunking policy depends on the worker count, so these properties drive
 the pools with hypothesis-drawn source lists (duplicates, reorderings,
 empty) and demand bitwise-equal outputs — the parallel analogue of the
-engine's "direction changes speed, never answers" contract.
+engine's "direction changes speed, never answers" contract.  Each runs
+on both traversal kernels (see ``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -14,13 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_connected_graph
+from repro.graph.msbfs import multi_source_distances
 from repro.parallel.pool import TraversalPool
-from repro.parallel.shm import shared_memory_available
-
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(),
-    reason="multiprocessing.shared_memory unavailable on this platform",
-)
 
 _N = 180
 
@@ -32,8 +28,6 @@ def graph():
 
 @pytest.fixture(scope="module")
 def pools(graph):
-    # One persistent pool per worker count — a pool per example would
-    # dominate the property's runtime with process startup.
     solo = TraversalPool(graph, workers=1)
     quad = TraversalPool(graph, workers=4)
     yield solo, quad
@@ -71,9 +65,9 @@ def test_distance_rows_independent_of_worker_count(pools, sources):
 @given(sources=st.lists(
     st.integers(min_value=0, max_value=_N - 1), min_size=0, max_size=100
 ))
-def test_msbfs_independent_of_worker_count(pools, sources):
-    solo, quad = pools
+def test_msbfs_independent_of_worker_count(graph, sources):
     src = np.asarray(sources, dtype=np.int64)
     assert np.array_equal(
-        solo.msbfs_eccentricities(src), quad.msbfs_eccentricities(src)
+        multi_source_distances(graph, src, workers=1),
+        multi_source_distances(graph, src, workers=4),
     )

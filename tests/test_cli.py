@@ -66,8 +66,7 @@ class TestTrace:
         assert record.config == {
             "command": "ecc",
             "references": 1,
-            "backend": "numpy",
-            "workers": None,
+            "workers": 1,
             "source": example_file,
         }
         assert len(record.probe_events()) == record.result["num_traversals"]
@@ -292,58 +291,52 @@ class TestBackendFlags:
         assert main(["ecc", example_file, "--trace", str(trace_path)]) == 0
         with trace_path.open() as handle:
             header = json.loads(handle.readline())
-        assert header["config"]["backend"] == "numpy"
-        assert header["config"]["workers"] is None
+        assert "backend" not in header["config"]
+        assert header["config"]["workers"] == 1
 
     def test_process_backend_matches_numpy(self, example_file, tmp_path, capsys):
-        pytest.importorskip("multiprocessing.shared_memory")
         from repro.parallel import shutdown_pools
 
-        numpy_out = tmp_path / "numpy.txt"
-        process_out = tmp_path / "process.txt"
-        assert main(["ecc", example_file, "-o", str(numpy_out)]) == 0
+        serial_out = tmp_path / "serial.txt"
+        threaded_out = tmp_path / "threaded.txt"
+        assert main(["ecc", example_file, "-o", str(serial_out)]) == 0
         assert main(
-            [
-                "ecc", example_file, "-o", str(process_out),
-                "--backend", "process", "--workers", "2",
-            ]
+            ["ecc", example_file, "-o", str(threaded_out), "--workers", "2"]
         ) == 0
         shutdown_pools()
-        assert np.loadtxt(numpy_out).tolist() == np.loadtxt(process_out).tolist()
+        assert (
+            np.loadtxt(serial_out).tolist()
+            == np.loadtxt(threaded_out).tolist()
+        )
 
     def test_backend_recorded_in_run_record(self, example_file, tmp_path):
         import json
 
-        pytest.importorskip("multiprocessing.shared_memory")
         from repro.parallel import shutdown_pools
 
         trace_path = tmp_path / "rec.jsonl"
         assert main(
             [
-                "approx", example_file, "-k", "2",
-                "--backend", "process", "--workers", "2",
+                "approx", example_file, "-k", "2", "--workers", "2",
                 "--trace", str(trace_path),
             ]
         ) == 0
         shutdown_pools()
         with trace_path.open() as handle:
             header = json.loads(handle.readline())
-        assert header["config"]["backend"] == "process"
         assert header["config"]["workers"] == 2
 
     def test_diameter_accepts_backend(self, example_file, capsys):
-        pytest.importorskip("multiprocessing.shared_memory")
         from repro.parallel import shutdown_pools
 
-        assert main(
-            ["diameter", example_file, "--backend", "process", "--workers", "1"]
-        ) == 0
+        assert main(["diameter", example_file, "--workers", "2"]) == 0
         shutdown_pools()
         assert "radius=3 diameter=5" in capsys.readouterr().out
 
     def test_bad_backend_rejected(self, example_file):
+        # The knob is --workers alone; --backend no longer parses.
         with pytest.raises(SystemExit):
-            main(["ecc", example_file, "--backend", "cuda"])
+            main(["ecc", example_file, "--backend", "process"])
 
 
 class TestProgress:

@@ -45,9 +45,9 @@ CSR_MUTATION_ALLOWLIST = frozenset(
         "src/repro/graph/csr.py",
         "src/repro/directed/graph.py",
         "src/repro/weighted/graph.py",
-        # Rebuilds frozen zero-copy graphs over .rcsr bytes — mapped
-        # store pages or a shared-memory image (graph_from_arrays); a
-        # constructor in everything but name.
+        # Rebuilds frozen zero-copy graphs over mapped .rcsr store
+        # pages (graph_from_arrays); a constructor in everything but
+        # name.
         "src/repro/store/format.py",
     }
 )
@@ -92,7 +92,7 @@ HOT_PATH_PREFIXES = (
     "src/repro/weighted/eccentricity.py",
     "src/repro/directed/eccentricity.py",
     "src/repro/directed/traversal.py",
-    "src/repro/parallel/",
+    "src/repro/parallel/pool.py",
 )
 
 #: Modules exempt from the ``__all__`` requirement (script entry points).
@@ -175,6 +175,9 @@ SHARED_STATE = {
     "src/repro/graph/msengine.py": {
         "_ENGINES": ("msengine_for",),
     },
+    "src/repro/directed/traversal.py": {
+        "_VIEWS": ("_csr_views",),
+    },
     "src/repro/graph/native.py": {
         "_STATE": ("_state", "kernels", "kernel_info", "_swapped"),
     },
@@ -195,6 +198,7 @@ SHARED_STATE = {
     },
     "src/repro/obs/trace.py": {
         "_ACTIVE": ("get_tracer", "set_tracer", "tracing"),
+        "_THREAD": ("get_tracer", "thread_tracing"),
     },
     "src/repro/obs/benchguard.py": {
         "SCHEMAS": ("extractor_for", "known_schemas"),
