@@ -23,9 +23,13 @@ records it as ``kernel``); with the C kernel, ``loop-hybrid`` is the
 native single-source loop the lanes must beat.  The Barabási–Albert
 rows carry a ``caveat``: they are IFECC's worst case, so these are
 kernel micro-benchmarks.  A width-scaling section
-re-times the hybrid engine at 64/128/256-source batches to audit the
-lane-width planner's multi-word crossover.  Writes machine-readable
-``BENCH_msbfs_engine.json`` at the repository root.
+re-times the hybrid engine at 64/128/256-source batches, and two
+planner ladders on the 12 small Table-3 stand-ins give
+:func:`~repro.graph.msengine.plan_lane_width` its rules: all-source
+sweeps at each lane width over several graph scales (``width_ladder``),
+and random batches of 4-64 sources swept vs looped (``serial_ladder``).
+Writes machine-readable ``BENCH_msbfs_engine.json`` at the repository
+root.
 
 Run standalone::
 
@@ -225,7 +229,7 @@ def bench_graph(
         "num_vertices": n,
         "num_edges": graph.num_edges,
         "batch": k,
-        "planned_width": plan_lane_width(n, len(graph.indices), k),
+        "planned_width": plan_lane_width(len(graph.indices), k),
         "repeats": repeats,
         "ecc_seconds": ecc_s,
         "rows_seconds": rows_s,
@@ -261,9 +265,7 @@ def bench_width_scaling(
         sources = batch_sources(graph, batch)
         if len(sources) < batch:
             continue
-        width = plan_lane_width(
-            graph.num_vertices, len(graph.indices), len(sources)
-        )
+        width = plan_lane_width(len(graph.indices), len(sources))
         ms_s = _best_of(lambda: ms.ecc_batch(sources), repeats)
         loop_s = _best_of(lambda: _loop_ecc(loop, sources), repeats)
         entries.append(
@@ -279,6 +281,99 @@ def bench_width_scaling(
             f"  width-scaling batch={len(sources):>3} (width {width}): "
             f"lanes {ms_s:.4f}s  loop {loop_s:.4f}s "
             f"({loop_s / ms_s:.2f}x)"
+        )
+    return entries
+
+
+def _median_of(run: Callable[[], object], repeats: int) -> float:
+    times = []
+    for _ in range(max(1, repeats)):
+        watch = Stopwatch()
+        run()
+        times.append(watch.elapsed())
+    return float(np.median(times))
+
+
+def _small_standins(scale: float) -> List[Graph]:
+    from repro.datasets.loader import build_standin, scaled_spec
+    from repro.datasets.registry import dataset_names, get_spec
+
+    return [
+        build_standin(scaled_spec(get_spec(name), scale))
+        for name in dataset_names("small")
+    ]
+
+
+def bench_width_ladder(
+    scales: Sequence[float], repeats: int
+) -> List[Dict[str, object]]:
+    """All-source ``ecc_batch`` of the 12 small stand-ins per lane width.
+
+    The planner's width rule comes from here: at each scale, every
+    vertex's eccentricity is swept in groups of 64, 128 or 256 lanes.
+    """
+    entries: List[Dict[str, object]] = []
+    for scale in scales:
+        graphs = _small_standins(scale)
+        seconds = {width: 0.0 for width in (64, 128, 256)}
+        for graph in graphs:
+            ms = MSBFSEngine(graph)
+            src = np.arange(graph.num_vertices, dtype=np.int64)
+            for width in seconds:
+
+                def sweep(width: int = width) -> None:
+                    for start in range(0, len(src), width):
+                        ms.ecc_batch(src[start: start + width])
+
+                seconds[width] += _best_of(sweep, repeats)
+        sizes = [graph.num_vertices for graph in graphs]
+        planned = plan_lane_width(len(graphs[0].indices), min(sizes))
+        entries.append(
+            {
+                "scale": scale,
+                "num_vertices": [min(sizes), max(sizes)],
+                "seconds": {str(w): t for w, t in seconds.items()},
+                "planned_width": planned,
+            }
+        )
+        print(
+            f"  width ladder x{scale:g} (n {min(sizes)}-{max(sizes)}): "
+            + "  ".join(f"{w} lanes {t:.4f}s" for w, t in seconds.items())
+        )
+    return entries
+
+
+def bench_serial_ladder(
+    graphs: Sequence[Graph], batches: Sequence[int], repeats: int
+) -> List[Dict[str, object]]:
+    """Random ``k``-source batches: one lane sweep vs looped single BFS.
+
+    The planner's serial limit comes from here.  Each batch size is
+    summed over the graphs and three seeded random batches per graph.
+    """
+    entries: List[Dict[str, object]] = []
+    for k in batches:
+        lanes_s = loop_s = 0.0
+        for graph in graphs:
+            ms = MSBFSEngine(graph)
+            loop = BFSEngine(graph)
+            rng = np.random.default_rng(k)
+            for _ in range(3):
+                src = rng.choice(graph.num_vertices, k, replace=False)
+                lanes_s += _median_of(lambda: ms.ecc_batch(src), repeats)
+                loop_s += _median_of(lambda: _loop_ecc(loop, src), repeats)
+        entries.append(
+            {
+                "batch": k,
+                "planned_width": plan_lane_width(1, k),
+                "lanes_seconds": lanes_s,
+                "loop_seconds": loop_s,
+                "loop_over_lanes": loop_s / lanes_s,
+            }
+        )
+        print(
+            f"  serial ladder k={k:>3}: lanes {lanes_s:.4f}s "
+            f"loop {loop_s:.4f}s ({loop_s / lanes_s:.2f}x)"
         )
     return entries
 
@@ -317,6 +412,15 @@ def run_suite(
     powerlaw_graph = graphs[str(powerlaw["name"])][1]
     print(f"[bench_msbfs_engine] width scaling on {powerlaw['name']}:")
     scaling = bench_width_scaling(powerlaw_graph, str(powerlaw["name"]), repeats)
+    print("[bench_msbfs_engine] planner ladders on the small stand-ins:")
+    ladder_scales = (0.125, 0.25) if smoke else (0.125, 0.25, 0.5, 1.0, 2.0)
+    width_ladder = bench_width_ladder(ladder_scales, repeats)
+    serial_graphs = _small_standins(0.25 if smoke else 1.0)
+    serial_ladder = bench_serial_ladder(
+        serial_graphs[:: 4 if smoke else 1],
+        (8, 32, 64) if smoke else (4, 8, 12, 16, 24, 32, 48, 64),
+        repeats,
+    )
     report: Dict[str, object] = {
         "schema": "bench_msbfs_engine/v1",
         "mode": "smoke" if smoke else "full",
@@ -329,6 +433,8 @@ def run_suite(
         "bit_identical": True,  # bench_graph raises otherwise
         "graphs": results,
         "width_scaling": scaling,
+        "width_ladder": width_ladder,
+        "serial_ladder": serial_ladder,
         "aggregate": {
             "powerlaw_speedup_ecc_vs_loop": powerlaw["speedup_ecc_vs_loop"],
             "powerlaw_speedup_rows_vs_loop": powerlaw["speedup_rows_vs_loop"],
@@ -363,11 +469,10 @@ def test_msbfs_engine_shootout(benchmark) -> None:  # type: ignore[no-untyped-de
             "loop-hybrid",
         }
         assert all(s >= 0 for s in entry["ecc_seconds"].values())
-    # The multi-word planner engages past one lane word on the smoke
-    # power-law graph (n=4k clears the 128-lane threshold; the 256-lane
-    # tier needs n >= 4096, so batch=256 still plans at least two words).
+    # The planner takes the widest lane group each batch fills.
     widths = {e["batch"]: e["planned_width"] for e in report["width_scaling"]}
-    assert widths.get(128) == 128 and widths.get(256, 0) >= 128
+    assert widths.get(128) == 128 and widths.get(256) == 256
+    assert [e["batch"] for e in report["serial_ladder"]] == [8, 32, 64]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -67,6 +67,9 @@ BUDGET_FRACTION = 0.03
 #: by full mode, which measures the real per-traversal cost directly:
 #: 1,039, 1,109 and 1,139 us in three full runs with the native C
 #: kernel on a 2-vCPU x86 VM (the numpy loops measured about 5,000 us).
+#: Lane probes since cut it to 304 and 360 us in two full runs; the
+#: constant stays until the gate's estimator is reworked (ROADMAP.md),
+#: so the smoke fraction now understates the full-mode one about 3x.
 REFERENCE_TRAVERSAL_US = 1_100.0
 
 
@@ -131,8 +134,12 @@ def run_overhead(
             null_cpu.append(cpu)
             null_wall.append(wall)
         events = len(capture.events)
-        traversals = sum(
-            1 for event in capture.events if event["name"] == "bfs.run"
+        # The solver's own count: lane probes emit one msbfs.run per
+        # sweep, so counting bfs.run events would miss them.
+        traversals = next(
+            event["traversals"]
+            for event in capture.events
+            if event["name"] == "solver.run"
         )
     null_best = min(null_cpu)
     traced_best = min(traced_cpu)

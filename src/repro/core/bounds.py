@@ -46,7 +46,11 @@ directed reachability alike (Dragan et al.'s certificate view).  A
 
 Bound arrays are updated with whole-array numpy operations only, and the
 core invariant ``lower <= upper (+ tolerance)`` is re-checked on every
-update.
+update.  Every update also keeps the count of resolved vertices (and,
+once a traced probe asks for it, the capped gap mass of int32 bounds):
+subset updates adjust them over the vertices they touch and whole-array
+updates recount, so the solver's per-probe progress query costs nothing
+once only a few hundred vertices are still open.
 """
 
 from __future__ import annotations
@@ -102,8 +106,12 @@ class BoundState:
     """
 
     __slots__ = (
-        "lower",
-        "upper",
+        "_lower",
+        "_upper",
+        "_resolved",
+        "_gap_cap",
+        "_gap_mass",
+        "_int_bounds",
         "tolerance",
         "infinity",
         "_dtype",
@@ -126,17 +134,88 @@ class BoundState:
         self.infinity = (
             infinity if infinity is not None else infinity_for(self._dtype)
         )
-        self.lower = np.zeros(num_vertices, dtype=self._dtype)
-        self.upper = np.full(num_vertices, self.infinity, dtype=self._dtype)
+        self._lower = np.zeros(num_vertices, dtype=self._dtype)
+        self._upper = np.full(num_vertices, self.infinity, dtype=self._dtype)
+        # Kept totals: the resolved count always; for int32 bounds also
+        # the gap mass capped at `_gap_cap`, once progress() asks for it.
+        self._int_bounds = (
+            self._dtype == np.int32 and self.tolerance.is_integer()
+        )
+        self._gap_cap: Optional[int] = None
+        self._resolved = 0
+        self._gap_mass = 0
+        self._recount()
         # Scratch for progress()'s numpy gap reduction, allocated on use.
         self._gap_buf: Optional[np.ndarray] = None
+
+    # ------------------------------------------------------------------
+    # The bound arrays
+    # ------------------------------------------------------------------
+    @property
+    def lower(self) -> np.ndarray:
+        """Per-vertex lower bounds (read them; update through methods)."""
+        return self._lower
+
+    @lower.setter
+    def lower(self, value: np.ndarray) -> None:
+        self._lower = value
+        self._recount()
+
+    @property
+    def upper(self) -> np.ndarray:
+        """Per-vertex upper bounds (read them; update through methods)."""
+        return self._upper
+
+    @upper.setter
+    def upper(self, value: np.ndarray) -> None:
+        self._upper = value
+        self._recount()
+
+    def _recount(self) -> None:
+        """Recompute the kept totals over the whole arrays."""
+        self._resolved, self._gap_mass = self._totals(self._lower, self._upper)
+
+    def _totals(self, lower: np.ndarray, upper: np.ndarray) -> Tuple[int, int]:
+        """Resolved count and kept-cap gap mass (0 if none) of ``lower/upper``.
+
+        int32 bounds go through the native kernel's one-pass reduction
+        when it is loaded.
+        """
+        cap = self._gap_cap
+        kern = native.kernels() if self._int_bounds else None
+        if kern is not None:
+            return kern.bound_progress(
+                lower, upper, int(self.tolerance), 0 if cap is None else cap
+            )
+        resolved = int(np.count_nonzero(self.bounds_met(lower, upper)))
+        if cap is None:
+            return resolved, 0
+        gap = np.subtract(upper, lower, dtype=np.int64)
+        return resolved, int(np.minimum(gap, cap).sum())
+
+    def _account(
+        self,
+        old_lower: np.ndarray,
+        old_upper: np.ndarray,
+        new_lower: np.ndarray,
+        new_upper: np.ndarray,
+    ) -> None:
+        """Adjust the kept totals for an update of distinct vertices.
+
+        Takes the touched vertices' bounds before and after the update,
+        as arrays aligned with the subset.
+        """
+        resolved_old, mass_old = self._totals(old_lower, old_upper)
+        resolved_new, mass_new = self._totals(new_lower, new_upper)
+        self._resolved += resolved_new - resolved_old
+        self._gap_mass += mass_new - mass_old
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
     def num_vertices(self) -> int:
-        return len(self.lower)
+        return len(self._lower)
 
     @property
     def dtype(self) -> np.dtype:
@@ -159,16 +238,21 @@ class BoundState:
 
     def resolved_mask(self) -> np.ndarray:
         """Boolean mask of vertices whose bounds have met."""
-        return np.asarray(self.bounds_met(self.lower, self.upper))
+        return np.asarray(self.bounds_met(self._lower, self._upper))
+
+    def unresolved_in(self, subset: np.ndarray) -> np.ndarray:
+        """Boolean mask over ``subset``: ``True`` where bounds are open."""
+        return ~np.asarray(
+            self.bounds_met(self._lower[subset], self._upper[subset])
+        )
 
     def unresolved_subset(self, subset: np.ndarray) -> np.ndarray:
         """The members of ``subset`` whose bounds have not met yet."""
-        met = np.asarray(self.bounds_met(self.lower[subset], self.upper[subset]))
-        return subset[~met]
+        return subset[self.unresolved_in(subset)]
 
     def num_resolved(self) -> int:
-        """Number of vertices with matching bounds."""
-        return int(np.count_nonzero(self.resolved_mask()))
+        """Number of vertices with matching bounds (kept by every update)."""
+        return self._resolved
 
     def progress(
         self, gap_cap: Optional[float] = None
@@ -177,36 +261,30 @@ class BoundState:
 
         The gap mass is ``sum(min(upper - lower, gap_cap))`` — the
         remaining bound-gap signal traced probes report, with untouched
-        vertices (infinite upper bound) counted as ``gap_cap``.  Without
-        ``gap_cap`` this is :meth:`num_resolved`.  With it, ``int32``
-        bounds go through the native kernel, which computes both numbers
-        in one pass; the numpy count-then-gap form would take most of
-        the 3% tracing budget on its own.  Both paths return the same
-        numbers.
+        vertices (infinite upper bound) counted as ``gap_cap``.  The
+        resolved count is kept by every update.  For int32 bounds and an
+        integer ``gap_cap`` so is the mass: the first call sums it once,
+        and from then on each update adjusts it over the vertices it
+        touches, so a traced probe no longer pays a pass over all ``n``
+        bounds.  Float bounds get one pass per call, where an
+        incremental sum could drift from the exact one.
         """
         if gap_cap is None:
-            return self.num_resolved(), None
-        kern = native.kernels()
-        if (
-            kern is not None
-            and self._dtype == np.int32
-            and self.tolerance.is_integer()
-            and float(gap_cap).is_integer()
-        ):
-            resolved, mass = kern.bound_progress(
-                self.lower, self.upper, int(self.tolerance), int(gap_cap)
-            )
-            return resolved, float(mass)
-        resolved = self.num_resolved()
+            return self._resolved, None
+        if self._int_bounds and float(gap_cap).is_integer():
+            if self._gap_cap != int(gap_cap):
+                self._gap_cap = int(gap_cap)
+                self._recount()
+            return self._resolved, float(self._gap_mass)
         buf = self._gap_buf
         if buf is None:
-            buf = self._gap_buf = np.empty(len(self.lower), np.float64)
+            buf = self._gap_buf = np.empty(len(self._lower), np.float64)
         # In-place fused form of np.minimum(self.gap(), gap_cap).sum():
         # the temporaries of the spelled-out form would be the largest
         # slice of a traced probe's capture cost.
-        np.subtract(self.upper, self.lower, out=buf)
+        np.subtract(self._upper, self._lower, out=buf)
         np.minimum(buf, gap_cap, out=buf)
-        return resolved, float(buf.sum())
+        return self._resolved, float(buf.sum())
 
     def all_resolved(self) -> bool:
         return self.num_resolved() == self.num_vertices
@@ -217,10 +295,10 @@ class BoundState:
         :dtype gap: int64
         """
         if np.issubdtype(self._dtype, np.floating):
-            return self.upper.astype(np.float64) - self.lower.astype(
+            return self._upper.astype(np.float64) - self._lower.astype(
                 np.float64
             )
-        return self.upper.astype(np.int64) - self.lower.astype(np.int64)
+        return self._upper.astype(np.int64) - self._lower.astype(np.int64)
 
     def eccentricities(self) -> np.ndarray:
         """The exact eccentricities; requires all bounds resolved."""
@@ -228,7 +306,7 @@ class BoundState:
             raise InvalidParameterError(
                 "bounds are not all resolved; eccentricities are not final"
             )
-        return self.lower.copy()
+        return self._lower.copy()
 
     # ------------------------------------------------------------------
     # Updates
@@ -237,14 +315,20 @@ class BoundState:
         """Pin one vertex's eccentricity (e.g. after its own traversal)."""
         self._check_consistent(
             bool(
-                self.lower[vertex] - self.tolerance
+                self._lower[vertex] - self.tolerance
                 <= value
-                <= self.upper[vertex] + self.tolerance
+                <= self._upper[vertex] + self.tolerance
             ),
             f"exact ecc {value} outside current bounds of vertex {vertex}",
         )
-        self.lower[vertex] = value
-        self.upper[vertex] = value
+        old_lower, old_upper = self._lower[vertex], self._upper[vertex]
+        was_met = bool(self.bounds_met(old_lower, old_upper))
+        self._lower[vertex] = value
+        self._upper[vertex] = value
+        self._resolved += not was_met
+        if self._gap_cap is not None:
+            old_gap = int(old_upper) - int(old_lower)
+            self._gap_mass -= min(old_gap, self._gap_cap)
 
     def apply_lemma31(
         self,
@@ -271,19 +355,20 @@ class BoundState:
                 dist, ecc_t - dist_from_t.astype(self._dtype)
             )
         new_lower = np.maximum(
-            self.lower, np.where(reachable, lower_candidate, 0)
+            self._lower, np.where(reachable, lower_candidate, 0)
         )
         new_upper = np.where(
             reachable,
-            np.minimum(self.upper, lemma31_upper(dist, ecc_t)),
-            self.upper,
+            np.minimum(self._upper, lemma31_upper(dist, ecc_t)),
+            self._upper,
         )
         self._check_consistent(
             bool(np.all(new_lower <= new_upper + self.tolerance)),
             "Lemma 3.1 update produced lower > upper: inconsistent distances",
         )
-        self.lower = new_lower
-        self.upper = new_upper
+        self._lower = new_lower
+        self._upper = new_upper
+        self._recount()
 
     def apply_lower_only(self, dist_to_t: np.ndarray) -> None:
         """Raise lower bounds to ``dist(v, t)`` when ``ecc(t)`` is unknown.
@@ -295,14 +380,15 @@ class BoundState:
         """
         reachable = ~unreached_mask(dist_to_t)
         new_lower = np.maximum(
-            self.lower,
+            self._lower,
             np.where(reachable, dist_to_t.astype(self._dtype), 0),
         )
         self._check_consistent(
-            bool(np.all(new_lower <= self.upper + self.tolerance)),
+            bool(np.all(new_lower <= self._upper + self.tolerance)),
             "lower-only update produced lower > upper",
         )
-        self.lower = new_lower
+        self._lower = new_lower
+        self._recount()
 
     def apply_lemma31_subset(
         self,
@@ -318,52 +404,67 @@ class BoundState:
         seeding step of Algorithm 2 lines 8-9.  Directed callers pass
         the gathered forward distances ``dist(t, v)`` as
         ``dist_from_subset`` for the ``ecc(t) - dist(t, v)`` term;
-        symmetric metrics omit it.
+        symmetric metrics omit it.  Like every subset update it expects
+        distinct vertex ids.
 
         :dtype dist: int32
         """
         dist = dist_subset.astype(self._dtype)
+        old_lower = self._lower[subset]
+        old_upper = self._upper[subset]
         if dist_from_subset is None:
-            new_lower = np.maximum(
-                self.lower[subset], lemma31_lower(dist, ecc_t)
-            )
+            new_lower = np.maximum(old_lower, lemma31_lower(dist, ecc_t))
         else:
             new_lower = np.maximum(
-                self.lower[subset],
+                old_lower,
                 np.maximum(
                     dist, ecc_t - dist_from_subset.astype(self._dtype)
                 ),
             )
-        new_upper = np.minimum(self.upper[subset], lemma31_upper(dist, ecc_t))
+        new_upper = np.minimum(old_upper, lemma31_upper(dist, ecc_t))
         self._check_consistent(
             bool(np.all(new_lower <= new_upper + self.tolerance)),
             "Lemma 3.1 subset update produced lower > upper: "
             "inconsistent distances",
         )
-        self.lower[subset] = new_lower
-        self.upper[subset] = new_upper
+        self._lower[subset] = new_lower
+        self._upper[subset] = new_upper
+        self._account(old_lower, old_upper, new_lower, new_upper)
 
-    def raise_lower_subset(
+    def apply_probe_subset(
         self,
         subset: np.ndarray,
         dist_subset: np.ndarray,
+        dist_to_z_subset: np.ndarray,
+        tail_radius: Numeric,
     ) -> None:
-        """Raise ``lower[subset]`` to ``dist_subset`` (Lemma 3.1, lower only).
+        """One FFO-sweep probe's update of ``subset`` (Algorithm 2, 14-16).
 
-        The subset counterpart of :meth:`apply_lower_only`, used by the
-        FFO sweep where only the territory's unresolved members need the
-        update (Algorithm 2 line 14).
+        Lemma 3.1 raises ``lower[subset]`` to ``dist_subset``
+        (``dist(v, t)`` for the probe ``t``), then Lemma 3.3 caps
+        ``upper[subset]`` at ``max(lower, dist(v, z) + tail_radius)``
+        with ``dist_to_z_subset`` gathered over ``subset``.  Equal to
+        the raise followed by :meth:`apply_lemma33_tail` on the same
+        subset, in one gather and one scatter.  The cap never falls
+        below the raised lower bound, so one consistency check covers
+        both steps.
 
         :dtype new_lower: int32
         """
-        new_lower = np.maximum(
-            self.lower[subset], dist_subset.astype(self._dtype)
-        )
+        lower = self._lower[subset]
+        upper = self._upper[subset]
+        new_lower = np.maximum(lower, dist_subset.astype(self._dtype))
         self._check_consistent(
-            bool(np.all(new_lower <= self.upper[subset] + self.tolerance)),
+            bool(np.all(new_lower <= upper + self.tolerance)),
             "lower-only subset update produced lower > upper",
         )
-        self.lower[subset] = new_lower
+        cap = np.maximum(
+            new_lower, dist_to_z_subset.astype(self._dtype) + tail_radius
+        )
+        new_upper = np.minimum(upper, cap)
+        self._lower[subset] = new_lower
+        self._upper[subset] = new_upper
+        self._account(lower, upper, new_lower, new_upper)
 
     def apply_lemma33_tail(
         self,
@@ -388,25 +489,28 @@ class BoundState:
         """
         if subset is None:
             cap = np.maximum(
-                self.lower, dist_to_z.astype(self._dtype) + tail_radius
+                self._lower, dist_to_z.astype(self._dtype) + tail_radius
             )
-            new_upper = np.minimum(self.upper, cap)
+            new_upper = np.minimum(self._upper, cap)
             self._check_consistent(
-                bool(np.all(self.lower <= new_upper + self.tolerance)),
+                bool(np.all(self._lower <= new_upper + self.tolerance)),
                 "Lemma 3.3 update produced lower > upper",
             )
-            self.upper = new_upper
+            self._upper = new_upper
+            self._recount()
         else:
+            lower = self._lower[subset]
+            old_upper = self._upper[subset]
             cap = np.maximum(
-                self.lower[subset],
-                dist_to_z[subset].astype(self._dtype) + tail_radius,
+                lower, dist_to_z[subset].astype(self._dtype) + tail_radius
             )
-            new_upper = np.minimum(self.upper[subset], cap)
+            new_upper = np.minimum(old_upper, cap)
             self._check_consistent(
-                bool(np.all(self.lower[subset] <= new_upper + self.tolerance)),
+                bool(np.all(lower <= new_upper + self.tolerance)),
                 "Lemma 3.3 update produced lower > upper",
             )
-            self.upper[subset] = new_upper
+            self._upper[subset] = new_upper
+            self._account(lower, old_upper, lower, new_upper)
 
     @staticmethod
     def _check_consistent(condition: bool, message: str) -> None:

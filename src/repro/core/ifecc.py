@@ -17,9 +17,10 @@ The loop itself lives in the metric-generic
 :class:`repro.core.solver.EccentricitySolver`; :class:`IFECC` is its
 unweighted instantiation over :class:`repro.core.oracles.BFSOracle` —
 ``int32`` hop counts, exact (zero-tolerance) bound comparison, one
-pooled-workspace BFS per probe.  The class is bit-identical to the
-pre-unification implementation: same BFS sequence, counters, snapshots
-and results.
+pooled-workspace BFS per probe, or one MS-BFS lane sweep for a run of
+late probes on large graphs.  The class is bit-identical to the
+pre-unification implementation: same probe sequence, BFS counts,
+snapshots and results.
 
 The engine is *anytime*: :meth:`IFECC.steps` yields a snapshot after each
 BFS, which is exactly how Algorithm 3 (kIFECC, :mod:`repro.core.kifecc`)

@@ -26,23 +26,31 @@ The two probe flavours mirror how Algorithm 2 consumes traversals:
     for both — one traversal; the directed oracle pays a
     forward + backward pair.
 
-``sweep_probe``
-    The cheap per-probe traversal of the FFO sweep: the reverse
-    distances ``dist(., t)`` plus ``ecc(t)`` *when the traversal
-    happens to yield it* (symmetric metrics: yes; the directed
-    backward BFS: no — it returns ``None`` and the solver simply skips
-    the ``set_exact`` step, exactly as the directed Lemma 3.3 argument
-    requires).
+``sweep_probes``
+    The cheap probes of the FFO sweep.  The solver offers the next FFO
+    candidates together with the vertices whose distances it still
+    needs (``targets``, the territory's unresolved members); the oracle
+    answers for a *leading prefix* of the offer, whose length it
+    chooses: ``ecc(s)`` *when the traversal yields it* (symmetric
+    metrics: yes; the directed backward BFS: no — ``None``, and the
+    solver skips the ``set_exact`` step, exactly as the directed Lemma
+    3.3 argument requires) and the reverse distances ``dist(t, s)`` for
+    every target ``t``.  Every probe's distances are valid bounds, so
+    sweeping candidates the solver turns out not to need costs time,
+    never answers.  :class:`BFSOracle` answers a prefix with one lane
+    sweep of :class:`repro.graph.msengine.MSBFSEngine` when
+    :func:`repro.graph.msengine.plan_probe_lanes` says lanes pay, else
+    with one single-source traversal; the weighted and directed oracles
+    always answer one.
 
-Distance vectors returned by ``sweep_probe`` may alias a pooled
-workspace; the solver consumes them before the next traversal and
-copies only when memoising — the same discipline the BFS engine
-established.
+The returned distance rows are always caller-owned: a lane sweep
+allocates them, and a single traversal's pooled vector is gathered into
+a fresh row before it is returned.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -51,7 +59,11 @@ from repro.core.reference import get_strategy
 from repro.errors import DisconnectedGraphError, InvalidParameterError
 from repro.graph.csr import Graph
 from repro.graph.engine import BFSEngine, engine_for
-from repro.graph.msengine import batch_distance_rows
+from repro.graph.msengine import (
+    MSBFSEngine,
+    batch_distance_rows,
+    plan_probe_lanes,
+)
 from repro.parallel.pool import TraversalPool, pool_for, resolve_workers
 
 __all__ = ["DistanceOracle", "BFSOracle"]
@@ -109,15 +121,20 @@ class DistanceOracle(Protocol):
         """
         ...  # pragma: no cover - protocol
 
-    def sweep_probe(
+    def sweep_probes(
         self,
-        source: int,
+        sources: np.ndarray,
+        targets: np.ndarray,
         counter: Optional[TraversalCounter] = None,
-    ) -> Tuple[Optional[float], np.ndarray]:
-        """``(ecc(source) or None, dist(., source))`` — one traversal.
+    ) -> Tuple[List[Optional[float]], np.ndarray]:
+        """Probe a leading prefix of ``sources`` (at least one).
 
-        The distance vector may alias a pooled workspace valid until
-        the next traversal on this oracle.
+        Returns ``(eccs, rows)`` for the ``k`` probed sources
+        ``sources[:k]``: ``eccs[j]`` is ``ecc(sources[j])`` or ``None``
+        when the traversal does not yield it, and the caller-owned
+        ``(k, len(targets))`` matrix ``rows[j, i]`` is
+        ``dist(targets[i], sources[j])``.  The counter is credited one
+        traversal per probed source.
         """
         ...  # pragma: no cover - protocol
 
@@ -134,19 +151,22 @@ class BFSOracle:
     """The unweighted hop-count oracle (the paper's own setting).
 
     Wraps the per-graph cached, pooled-workspace
-    :class:`repro.graph.engine.BFSEngine`: ``sweep_probe`` returns the
-    engine's pooled distance buffer (the FFO-ordered sweep runs one BFS
-    per probed source, all on this graph, so per-run allocation would
-    dominate at scale), while ``source_probe`` copies — its vector is
-    retained by FFOs and territories.
+    :class:`repro.graph.engine.BFSEngine` and its lane sibling
+    :class:`repro.graph.msengine.MSBFSEngine`.  ``sweep_probes`` runs
+    one lane sweep over a prefix of the offered FFO candidates when
+    :func:`~repro.graph.msengine.plan_probe_lanes` says lanes pay (few
+    targets on a large graph: the sweep captures just those columns),
+    else one pooled BFS whose target distances it gathers;
+    ``source_probe`` copies — its vector is retained by FFOs and
+    territories.
 
     ``workers`` decides how the *batched* entry points
     (:meth:`ecc_all`, :meth:`distance_rows`) execute: ``1`` (the
     default) runs them in the calling thread, any other count (or
     ``None``, every usable core) fans them out over the threads of a
-    :class:`repro.parallel.pool.TraversalPool`.  Single probes
-    (``source_probe``/``sweep_probe``) always stay on the caller's
-    engine — one BFS is cheaper than a thread hand-off — so the
+    :class:`repro.parallel.pool.TraversalPool`.  Solver probes
+    (``source_probe``/``sweep_probes``) always stay on the caller's
+    engines — one traversal is cheaper than a thread hand-off — so the
     solver's sequential bound-tightening loop is the same code under
     every worker count.
     """
@@ -169,6 +189,11 @@ class BFSOracle:
         self.num_vertices = graph.num_vertices
         self.engine = engine if engine is not None else engine_for(graph)
         self.workers = workers
+        # The lane probes' engine, built on the first lane sweep.  It is
+        # the oracle's own rather than msengine_for's cached one, so its
+        # bitmaps (about 53 bytes per vertex) are freed with the solve
+        # instead of staying pinned to every graph a process has solved.
+        self._lanes: Optional[MSBFSEngine] = None
 
     @property
     def pool(self) -> TraversalPool:
@@ -234,13 +259,24 @@ class BFSOracle:
         dist = self.engine.run(source, counter=counter).copy()
         return self.engine.last_ecc, dist, dist
 
-    def sweep_probe(
+    def sweep_probes(
         self,
-        source: int,
+        sources: np.ndarray,
+        targets: np.ndarray,
         counter: Optional[TraversalCounter] = None,
-    ) -> Tuple[Optional[float], np.ndarray]:
-        dist = self.engine.run(source, counter=counter)
-        return self.engine.last_ecc, dist
+    ) -> Tuple[List[Optional[float]], np.ndarray]:
+        lanes = plan_probe_lanes(self.num_vertices, len(targets), len(sources))
+        if lanes == 0:
+            dist = self.engine.run(int(sources[0]), counter=counter)
+            # np.take gathers into a fresh, owned row (also under the
+            # sanitizer, where `dist` is a guarded loan).
+            return [self.engine.last_ecc], np.take(dist, targets)[np.newaxis]
+        if self._lanes is None:
+            self._lanes = MSBFSEngine(self.graph)
+        ecc, rows = self._lanes.probe_batch(
+            sources[:lanes], targets, counter=counter
+        )
+        return ecc.tolist(), rows
 
     def disconnected_error(self) -> DisconnectedGraphError:
         from repro.graph.components import split_components

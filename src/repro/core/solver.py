@@ -17,7 +17,9 @@ it once, parameterised over a :class:`repro.core.oracles.DistanceOracle`:
 4. for each ``z``, *sweep probes* walk ``L^z`` front-to-back; each
    probe yields exact reverse distances, so Lemma 3.1 raises lower
    bounds and Lemma 3.3 caps upper bounds for the territory, until
-   every territory member's bounds meet (lines 10-18).
+   every territory member's bounds meet (lines 10-18).  The oracle may
+   answer several upcoming probes with one traversal (lane probes);
+   the solver still applies them one at a time, in FFO order.
 
 Because the loop is shared, every capability built on it — the anytime
 :meth:`EccentricitySolver.steps` protocol, kIFECC-style budgeting
@@ -27,10 +29,11 @@ convergence instrumentation of :mod:`repro.analysis.convergence` —
 works identically for unweighted, weighted, and directed inputs.
 
 The unweighted instantiation (:class:`repro.core.ifecc.IFECC`) is
-bit-identical to the historical implementation: same traversal
-sequence, same counters, same snapshots, same results.  Weighted and
-directed instantiations are value-identical to their pre-unification
-ancestors within the oracle's documented tolerance.
+bit-identical to the historical implementation: same probe sequence,
+same traversal counts, same snapshots, same results (lane probes change
+only the arc and vertex work totals, which count what each sweep did).
+Weighted and directed instantiations are value-identical to their
+pre-unification ancestors within the oracle's documented tolerance.
 
 Space stays ``O(m + n)`` (Theorem 4.5): the graph, the bound arrays,
 and the ``r`` reference distance vectors.
@@ -235,83 +238,151 @@ class EccentricitySolver:
     def _sweep_territory(
         self, territory: Territory
     ) -> Iterator[ProgressSnapshot]:
+        """Probe the territory's FFO front to back until it resolves.
+
+        Ranks whose vertex is already known (a reference, or a memoised
+        probe of an earlier territory) replay the retained vector.  Each
+        run of fresh ranks between them is offered to the oracle, which
+        probes a leading prefix of it in one call (one lane sweep, or
+        one traversal); the lanes are then applied one at a time in FFO
+        order — exact ecc, Lemma 3.1 raise, Lemma 3.3 tail cap and a
+        snapshot each, exactly as one-at-a-time probing would — and
+        the lanes left over when the territory resolves are dropped,
+        counted in :attr:`TraversalCounter.speculative_lanes`.
+        """
         bounds = self.bounds
+        counter = self.counter
         tracer = self._active_tracer()
-        ffo = territory.ffo
-        dist_into_z = territory.dist_into
+        order = territory.ffo.order
         unresolved = bounds.unresolved_subset(territory.members)
-        if len(unresolved) == 0:
-            return
-        for rank, source in enumerate(ffo.order):
-            source = int(source)
-            if source == territory.reference:
-                continue
-            tail_radius = ffo.distance_of_rank(rank + 1)
-            if source in self._known:
-                # Replay the retained distance vector instead of
-                # re-running the traversal.  Lemma 3.3 stays sound
-                # because the replayed Lemma 3.1 update makes `source` a
-                # probed node of this territory, exactly as a fresh
-                # traversal would.
-                ecc_s, dist_s = self._known[source]
-                fresh_probe = False
-                span = None
-                tracer.event(
-                    "solver.replay",
-                    source=source,
-                    territory=territory.reference,
-                    ffo_rank=rank,
-                )
-            else:
-                span = (
-                    tracer.span(
-                        "solver.probe",
-                        probe="sweep",
-                        source=source,
-                        territory=territory.reference,
-                        ffo_rank=rank,
-                        metric=self.oracle.metric_name,
-                        oracle=getattr(
-                            self.oracle, "trace_kind", self.oracle.metric_name
-                        ),
+        # Ranks holding a known vertex, ascending, then a sentinel.  The
+        # known set only grows by this territory's own (earlier) ranks
+        # while it is swept, so this list stays valid throughout.
+        known = np.zeros(self.oracle.num_vertices, dtype=bool)
+        known[list(self._known)] = True
+        stops = np.append(np.flatnonzero(known[order]), len(order)).tolist()
+        everyone = (
+            np.arange(self.oracle.num_vertices, dtype=np.int64)
+            if self.memoize_distances
+            else None
+        )
+        rank = 0
+        stop = 0
+        while len(unresolved) and rank < len(order):
+            if rank == stops[stop]:
+                stop += 1
+                source = int(order[rank])
+                if source != territory.reference:
+                    unresolved = self._replay(
+                        tracer, territory, rank, unresolved
                     )
-                    if tracer.enabled
-                    else None
-                )
-                # The vector may alias the oracle's pooled workspace; it
-                # is consumed before the next traversal and only the
-                # memoised copy outlives this iteration.
-                ecc_s, dist_s = self.oracle.sweep_probe(
-                    source, counter=self.counter
-                )
+                rank += 1
+                continue
+            offer = order[rank: stops[stop]]
+            # Memoising needs whole rows; otherwise only the distances to
+            # the still-open members are captured.  `cols` locates the
+            # open members within `targets` (None: they are `targets`).
+            targets = unresolved if everyone is None else everyone
+            cols = None if everyone is None else unresolved
+            span = self._probe_span(tracer, territory, int(offer[0]), rank)
+            eccs, rows = self.oracle.sweep_probes(
+                offer, targets, counter=counter
+            )
+            counter.speculate(len(eccs))
+            for lane, ecc_s in enumerate(eccs):
+                source = int(offer[lane])
+                if lane:
+                    span = self._probe_span(tracer, territory, source, rank)
+                counter.apply_lane()
+                row = rows[lane]
                 if ecc_s is not None:
                     # The probe determined ecc(source) exactly, even if
                     # `source` belongs to another territory.  (The
                     # directed oracle's backward BFS yields no forward
                     # eccentricity; its probes skip this step.)
                     bounds.set_exact(source, ecc_s)
-                if self.memoize_distances:
-                    self._known[source] = (
-                        ecc_s,
-                        sanitize.assert_owned(dist_s.copy()),
-                    )
-                fresh_probe = True
-            # Lemma 3.1 (lower) for the territory...
-            bounds.raise_lower_subset(unresolved, dist_s[unresolved])
-            # ... and Lemma 3.3's shrinking tail cap (upper).
-            bounds.apply_lemma33_tail(
-                dist_into_z, tail_radius, subset=unresolved
-            )
-            if fresh_probe:
+                if everyone is not None:
+                    self._known[source] = (ecc_s, sanitize.assert_owned(row))
+                self._tighten(
+                    territory,
+                    rank,
+                    unresolved,
+                    row if cols is None else row[cols],
+                )
                 snap, gap_mass = self._snapshot(source, span is not None)
                 if span is not None:
                     self._finish_probe_span(
                         tracer, span, ecc_s, snap, gap_mass
                     )
                 yield snap
-            unresolved = bounds.unresolved_subset(unresolved)
-            if len(unresolved) == 0:
-                break
+                rank += 1
+                still = bounds.unresolved_in(unresolved)
+                unresolved = unresolved[still]
+                if not len(unresolved):
+                    break
+                cols = np.flatnonzero(still) if cols is None else cols[still]
+
+    def _replay(
+        self,
+        tracer: Tracer,
+        territory: Territory,
+        rank: int,
+        unresolved: np.ndarray,
+    ) -> np.ndarray:
+        """Apply a known vertex's retained vector at ``rank``.
+
+        Lemma 3.3 stays sound because the replayed Lemma 3.1 update
+        makes the vertex a probed node of this territory, exactly as a
+        fresh traversal would.  Returns the still-open members.
+        """
+        source = int(territory.ffo.order[rank])
+        tracer.event(
+            "solver.replay",
+            source=source,
+            territory=territory.reference,
+            ffo_rank=rank,
+        )
+        dist_s = self._known[source][1]
+        self._tighten(territory, rank, unresolved, dist_s[unresolved])
+        return self.bounds.unresolved_subset(unresolved)
+
+    def _tighten(
+        self,
+        territory: Territory,
+        rank: int,
+        unresolved: np.ndarray,
+        dist_open: np.ndarray,
+    ) -> None:
+        """One probe's bound updates for the territory's open members.
+
+        ``dist_open`` is ``dist(v, s)`` for the probe at FFO ``rank``,
+        aligned with ``unresolved``: Lemma 3.1 raises the lower bounds,
+        Lemma 3.3's shrinking tail caps the upper bounds.
+        """
+        self.bounds.apply_probe_subset(
+            unresolved,
+            dist_open,
+            territory.dist_into[unresolved],
+            territory.ffo.distance_of_rank(rank + 1),
+        )
+
+    def _probe_span(
+        self, tracer: Tracer, territory: Territory, source: int, rank: int
+    ) -> Optional[Any]:
+        """An open ``solver.probe`` span for a sweep probe, if tracing."""
+        if not tracer.enabled:
+            return None
+        return tracer.span(
+            "solver.probe",
+            probe="sweep",
+            source=source,
+            territory=territory.reference,
+            ffo_rank=rank,
+            metric=self.oracle.metric_name,
+            oracle=getattr(
+                self.oracle, "trace_kind", self.oracle.metric_name
+            ),
+        )
 
     def _active_tracer(self) -> Tracer:
         return self._tracer if self._tracer is not None else get_tracer()

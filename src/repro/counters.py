@@ -40,6 +40,13 @@ class TraversalCounter:
     ``history`` records one label per traversal (``bfs:4``,
     ``dijkstra:7``, ``bwd:12``, ...) so tests and benchmarks can audit
     exactly which oracle ran what.
+
+    ``speculative_lanes`` counts lanes of a speculative sweep that no
+    caller applied: the solver's FFO sweep probes several candidates in
+    one lane sweep, credits ``bfs_runs`` only for the lanes whose
+    distances it uses (:meth:`speculate`, :meth:`apply_lane`), and
+    leaves the rest here.  Their arc work stays in the edge and vertex
+    totals, which therefore measure what was swept.
     """
 
     bfs_runs: int = 0
@@ -47,6 +54,7 @@ class TraversalCounter:
     edges_inspected: int = 0
     vertices_visited: int = 0
     relaxations: int = 0
+    speculative_lanes: int = 0
     history: list[str] = field(default_factory=list)
 
     @property
@@ -76,6 +84,20 @@ class TraversalCounter:
         if label:
             self.history.append(label)
 
+    def speculate(self, lanes: int) -> None:
+        """Hold back the last ``lanes`` credited traversals as speculative.
+
+        Called right after a sweep credited its lanes as runs; each lane
+        returns to :attr:`bfs_runs` when :meth:`apply_lane` uses it.
+        """
+        self.bfs_runs -= lanes
+        self.speculative_lanes += lanes
+
+    def apply_lane(self) -> None:
+        """Count one held-back lane as a traversal run after all."""
+        self.speculative_lanes -= 1
+        self.bfs_runs += 1
+
     def merge(self, other: "TraversalCounter") -> None:
         """Fold another counter's totals into this one."""
         self.bfs_runs += other.bfs_runs
@@ -83,4 +105,5 @@ class TraversalCounter:
         self.edges_inspected += other.edges_inspected
         self.vertices_visited += other.vertices_visited
         self.relaxations += other.relaxations
+        self.speculative_lanes += other.speculative_lanes
         self.history.extend(other.history)

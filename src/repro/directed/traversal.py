@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -195,10 +195,11 @@ class DirectedBFSOracle:
     * :meth:`source_probe` pays a forward + backward BFS *pair* (two
       counted traversals) — forward for ``ecc_f`` and the FFO, backward
       for the ``dist(., t)`` vector every bound update needs;
-    * :meth:`sweep_probe` is a single backward BFS and returns ``None``
-      for the eccentricity: ``max_v dist(v, t)`` is the *backward*
-      eccentricity, not the forward one being computed, so the solver
-      skips the ``set_exact`` step for probed sweep sources.
+    * :meth:`sweep_probes` answers one source with a single backward
+      BFS and returns ``None`` for the eccentricity: ``max_v dist(v, t)``
+      is the *backward* eccentricity, not the forward one being
+      computed, so the solver skips the ``set_exact`` step for probed
+      sweep sources.
 
     With ``workers != 1`` the batched :meth:`ecc_all` and the
     forward + backward pair of :meth:`source_probe` run on the threads
@@ -297,16 +298,14 @@ class DirectedBFSOracle:
         ecc = int(fwd.max()) if self.num_vertices else 0
         return ecc, fwd, bwd
 
-    def sweep_probe(
+    def sweep_probes(
         self,
-        source: int,
+        sources: np.ndarray,
+        targets: np.ndarray,
         counter: Optional[TraversalCounter] = None,
-    ) -> Tuple[Optional[float], np.ndarray]:
-        # This back-end promises owned vectors (each backward BFS
-        # allocates); assert_owned enforces the promise at the boundary.
-        return None, sanitize.assert_owned(
-            backward_bfs(self.graph, source, counter=counter)
-        )
+    ) -> Tuple[List[Optional[float]], np.ndarray]:
+        dist = backward_bfs(self.graph, int(sources[0]), counter=counter)
+        return [None], dist[targets][np.newaxis]
 
     def disconnected_error(self) -> DisconnectedGraphError:
         return DisconnectedGraphError(

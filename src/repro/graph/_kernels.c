@@ -1,6 +1,6 @@
 /*
  * Native traversal kernels for repro.graph.engine and repro.graph.msengine,
- * plus the bound-progress reduction repro.core.bounds runs per probe.
+ * plus the bound-totals reduction repro.core.bounds runs per update.
  *
  * Built on first use by repro.graph.native (gcc -O2 -shared -fPIC) and
  * called through ctypes, which releases the GIL for the duration of a
@@ -25,7 +25,7 @@
 #include <string.h>
 
 #define UNREACHED (-1)
-#define KERNEL_ABI 1
+#define KERNEL_ABI 2
 
 /* Mode codes shared with repro.graph.native. */
 #define MODE_HYBRID 0
@@ -99,10 +99,14 @@ void repro_bfs(int64_t n, const int64_t *indptr, const int32_t *indices,
             scanned += arcs;
         } else {
             if (ncand < 0) {
+                /* Branch-free compaction: write every vertex, advance
+                 * only past the unreached ones that have arcs. */
                 ncand = 0;
-                for (int64_t v = 0; v < n; ++v)
-                    if (dist[v] == UNREACHED && indptr[v + 1] > indptr[v])
-                        cand[ncand++] = (int32_t)v;
+                for (int64_t v = 0; v < n; ++v) {
+                    cand[ncand] = (int32_t)v;
+                    ncand += (dist[v] == UNREACHED) &
+                             (indptr[v + 1] > indptr[v]);
+                }
             }
             const int32_t cur = (int32_t)level;
             int64_t keep = 0;
@@ -117,13 +121,14 @@ void repro_bfs(int64_t n, const int64_t *indptr, const int32_t *indices,
                         break;
                     }
                 }
-                if (found) {
-                    dist[v] = next_level;
-                    queue[next_tail++] = v;
-                    fresh_mass += end - begin;
-                } else {
-                    cand[keep++] = v;
-                }
+                /* Branch-free keep step.  The queue slot is in range:
+                 * v is unreached, so fewer than n vertices are queued. */
+                dist[v] = found ? next_level : UNREACHED;
+                queue[next_tail] = v;
+                next_tail += found;
+                fresh_mass += found ? end - begin : 0;
+                cand[keep] = v;
+                keep += !found;
             }
             ncand = keep;
         }
@@ -154,6 +159,10 @@ void repro_bfs(int64_t n, const int64_t *indptr, const int32_t *indices,
  * seen, frontier, next: uint64[n * W] scratch (zeroed here).
  * active, fresh:        int32[n] scratch vertex lists.
  * dist_t:  int32[n * k] vertex-major distances, or NULL to skip them.
+ * slot, tdist: target-column capture, or NULL to skip it.  slot is
+ *          int32[n], the column of each target vertex and -1 elsewhere;
+ *          tdist is int32[k * nt], lane-major: tdist[j * nt + slot[v]]
+ *          is d(src[j], v) for the nt targets (UNREACHED if not reached).
  * ecc:     int32[k], the last level each lane reached (0 if none).
  * dirs, live_lanes, sizes: per-level audit (>= n slots).
  * out:     int64[5] = levels, edges_scanned, edges_inspected,
@@ -164,7 +173,8 @@ msbfs_impl(const int W, int64_t n, const int64_t *indptr,
            const int32_t *indices, const int64_t *src, int64_t k,
            int64_t limit, int mode, double alpha, double beta,
            uint64_t *seen, uint64_t *frontier, uint64_t *next,
-           int32_t *active, int32_t *fresh, int32_t *dist_t, int32_t *ecc,
+           int32_t *active, int32_t *fresh, int32_t *dist_t,
+           const int32_t *slot, int64_t nt, int32_t *tdist, int32_t *ecc,
            uint8_t *dirs, int64_t *live_lanes, int64_t *sizes, int64_t *out)
 {
     const int hybrid = mode == MODE_HYBRID;
@@ -180,6 +190,8 @@ msbfs_impl(const int W, int64_t n, const int64_t *indptr,
     memset(next, 0, (size_t)n * W * sizeof(uint64_t));
     if (dist_t != NULL)
         memset(dist_t, 0xff, (size_t)n * k * sizeof(int32_t));
+    if (tdist != NULL)
+        memset(tdist, 0xff, (size_t)k * nt * sizeof(int32_t));
     for (int64_t j = 0; j < k; ++j) {
         const int64_t v = src[j];
         const uint64_t bit = (uint64_t)1 << (j % 64);
@@ -197,6 +209,8 @@ msbfs_impl(const int W, int64_t n, const int64_t *indptr,
         ecc[j] = 0;
         if (dist_t != NULL)
             dist_t[v * k + j] = 0;
+        if (tdist != NULL && slot[v] >= 0)
+            tdist[j * nt + slot[v]] = 0;
     }
     int64_t m_unvisited = indptr[n] - m_frontier;
 
@@ -303,6 +317,7 @@ msbfs_impl(const int W, int64_t n, const int64_t *indptr,
         for (int64_t i = 0; i < nfresh; ++i) {
             const int64_t v = fresh[i];
             const int64_t degree = indptr[v + 1] - indptr[v];
+            const int32_t col = tdist != NULL ? slot[v] : -1;
             uint64_t was_seen = 0;
             for (int w = 0; w < W; ++w) {
                 const uint64_t bits = next[v * W + w];
@@ -316,6 +331,8 @@ msbfs_impl(const int W, int64_t n, const int64_t *indptr,
                     ecc[lane] = (int32_t)level;
                     if (dist_t != NULL)
                         dist_t[v * k + lane] = (int32_t)level;
+                    if (col >= 0)
+                        tdist[lane * nt + col] = (int32_t)level;
                     reached += 1;
                 }
             }
@@ -338,11 +355,12 @@ msbfs_impl(const int W, int64_t n, const int64_t *indptr,
 }
 
 /*
- * Progress of int32 eccentricity bounds (BoundState.progress): returns
- * how many vertices have upper - lower <= tolerance and stores the
- * capped gap mass, the sum of min(upper - lower, cap), in *gap_mass.
- * One pass serves the solver's per-probe resolved count and the gap
- * attribute of traced probes together.
+ * Totals of int32 eccentricity bounds (BoundState's kept totals):
+ * returns how many vertices have upper - lower <= tolerance and stores
+ * the capped gap mass, the sum of min(upper - lower, cap), in
+ * *gap_mass.  BoundState runs it over the bounds an update touches,
+ * before and after the update, and adjusts its resolved count and the
+ * gap mass traced probes report by the differences.
  *
  * Bounds are non-negative, so the int32 difference cannot overflow.
  * The inner loop works on int32 lanes over blocks short enough that
@@ -387,12 +405,12 @@ repro_bound_progress(int64_t n, const int32_t *lower, const int32_t *upper,
         const int64_t *src, int64_t k, int64_t limit, int mode,           \
         double alpha, double beta, uint64_t *seen, uint64_t *frontier,    \
         uint64_t *next, int32_t *active, int32_t *fresh, int32_t *dist_t, \
-        int32_t *ecc, uint8_t *dirs, int64_t *live_lanes, int64_t *sizes, \
-        int64_t *out)                                                     \
+        const int32_t *slot, int64_t nt, int32_t *tdist, int32_t *ecc,    \
+        uint8_t *dirs, int64_t *live_lanes, int64_t *sizes, int64_t *out) \
     {                                                                     \
         msbfs_impl(W, n, indptr, indices, src, k, limit, mode, alpha,     \
-                   beta, seen, frontier, next, active, fresh, dist_t, ecc, \
-                   dirs, live_lanes, sizes, out);                         \
+                   beta, seen, frontier, next, active, fresh, dist_t,     \
+                   slot, nt, tdist, ecc, dirs, live_lanes, sizes, out);   \
     }
 MSBFS_WIDTH(1)
 MSBFS_WIDTH(2)
@@ -405,14 +423,15 @@ int repro_msbfs(int64_t words, int64_t n, const int64_t *indptr,
                 int64_t limit, int mode, double alpha, double beta,
                 uint64_t *seen, uint64_t *frontier, uint64_t *next,
                 int32_t *active, int32_t *fresh, int32_t *dist_t,
+                const int32_t *slot, int64_t nt, int32_t *tdist,
                 int32_t *ecc, uint8_t *dirs, int64_t *live_lanes,
                 int64_t *sizes, int64_t *out)
 {
 #define MSBFS_CASE(W)                                                     \
     case W:                                                               \
         msbfs_w##W(n, indptr, indices, src, k, limit, mode, alpha, beta,  \
-                   seen, frontier, next, active, fresh, dist_t, ecc,      \
-                   dirs, live_lanes, sizes, out);                         \
+                   seen, frontier, next, active, fresh, dist_t, slot, nt, \
+                   tdist, ecc, dirs, live_lanes, sizes, out);             \
         return 0;
     switch (words) {
         MSBFS_CASE(1)

@@ -541,7 +541,7 @@ bfs_distances` wrapper) must copy.
         src = np.ascontiguousarray(sources, dtype=np.int64)
         if out is None:
             out = np.empty(len(src), dtype=np.int32)
-        width = plan_lane_width(self._n, self._arcs, len(src))
+        width = plan_lane_width(self._arcs, len(src))
         if width == 0:
             for i in range(len(src)):
                 self.run(int(src[i]), counter=counter)

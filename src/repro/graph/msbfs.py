@@ -110,7 +110,7 @@ def msbfs_eccentricities(
             counter=counter
         )
     ecc = np.zeros(n, dtype=np.int32)
-    width = plan_lane_width(n, int(len(graph.indices)), n) or _LANES
+    width = plan_lane_width(int(len(graph.indices)), n) or _LANES
     engine = msengine_for(graph)
     for start in range(0, n, width):
         batch = np.arange(start, min(start + width, n), dtype=np.int64)

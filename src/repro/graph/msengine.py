@@ -90,6 +90,7 @@ __all__ = [
     "batch_distance_rows",
     "msengine_for",
     "plan_lane_width",
+    "plan_probe_lanes",
 ]
 
 #: Lanes per workspace word — the machine word width of the bitmaps.
@@ -100,26 +101,17 @@ LANE_WORD_BITS = 64
 #: extra batching no longer pays for it on the paper's graph sizes.
 MAX_LANE_WORDS = 4
 
-#: Batches smaller than this run the serial single-source hybrid
-#: engine: a couple of traversals cannot amortise the ``uint64``
-#: word ops a lane sweep pays on every vertex.
-_SERIAL_BATCH_LIMIT = 8
-
-#: Graph-size floors for the wider lane groups.  Multi-word sweeps
-#: halve (or quarter) the number of level loops and CSR gathers but
-#: double (or quadruple) the bitmap traffic, so they only win once the
-#: per-sweep fixed costs dominate — i.e. on graphs big enough that a
-#: gather is expensive but small enough that bitmap bandwidth is not
-#: yet the bottleneck.
-_MIN_VERTICES_128 = 2_048
-_MIN_VERTICES_256 = 4_096
+#: Batches smaller than this loop the serial single-source engine.
+#: Measured on the C kernels (``serial_ladder`` of
+#: ``benchmarks/bench_msbfs_engine.py`` in full mode, the 12 small
+#: stand-ins): random batches of 4-16 sources took 0.58-0.93x as long
+#: looped as swept, 24 sources 1.37x and 64 sources 2.18x.
+_SERIAL_BATCH_LIMIT = 24
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
-def plan_lane_width(
-    num_vertices: int, num_arcs: int, batch_size: int
-) -> int:
+def plan_lane_width(num_arcs: int, batch_size: int) -> int:
     """Lane width (sources per sweep) for a batched traversal phase.
 
     Returns ``0`` when the batch should loop the serial single-source
@@ -133,11 +125,50 @@ def plan_lane_width(
     if num_arcs == 0:
         # Edge-free graphs: every BFS is O(1); lane setup would dominate.
         return 0
-    if batch_size >= 256 and num_vertices >= _MIN_VERTICES_256:
+    # The widest group the batch fills: on the C kernel, all-source
+    # sweeps of the 12 small stand-ins at 0.125-2x scale (233 to 7,008
+    # vertices) were fastest at 256 lanes at every scale, with 128 and
+    # 64 lanes even (``width_ladder`` of bench_msbfs_engine.py).
+    if batch_size >= 256:
         return 256
-    if batch_size >= 128 and num_vertices >= _MIN_VERTICES_128:
+    if batch_size >= 128:
         return 128
     return LANE_WORD_BITS
+
+
+#: Probe-lane planner (:func:`plan_probe_lanes`), from the ladder of
+#: ``benchmarks/bench_probe_lanes.py`` (IFECC exact ED on the Table-3
+#: stand-ins at several scales, C kernel).  Below 2,600 vertices lanes
+#: were a wash (median 0.98-1.00x the single-probe time in two ladder
+#: runs): a single BFS is so cheap there that a sweep's fixed cost and
+#: its overrun lanes eat the gain.  From 2,618 vertices up lanes won on
+#: 44-48 of 54 graphs, median 0.80-0.81x.
+_PROBE_MIN_VERTICES = 2_600
+#: Lanes pay once few target columns remain: ``|targets| * 64 <= 4n``.
+#: The ladder had no consistent best factor from 1 to 16.
+_PROBE_TARGETS_PER_VERTEX = 4 / LANE_WORD_BITS
+#: One word per sweep: two or four words cost about twice or four times
+#: as much per sweep and mostly sweep lanes nobody applies (on the large
+#: stand-ins 0.80-0.98x and 1.01-1.56x of single probes, vs 0.57-0.79x).
+_PROBE_LANES = LANE_WORD_BITS
+
+
+def plan_probe_lanes(
+    num_vertices: int, num_targets: int, num_offered: int
+) -> int:
+    """How many offered FFO candidates one probe sweep should take.
+
+    Returns ``0`` when the solver's next probe should be one
+    single-source traversal, else the lane count of one
+    :meth:`MSBFSEngine.probe_batch` sweep.  Like
+    :func:`plan_lane_width` it only ever affects speed: every probe's
+    distances are exact, and the solver applies lanes in FFO order.
+    """
+    if num_offered < 2 or num_vertices < _PROBE_MIN_VERTICES:
+        return 0
+    if num_targets > _PROBE_TARGETS_PER_VERTEX * num_vertices:
+        return 0
+    return min(num_offered, _PROBE_LANES)
 
 
 @dataclass
@@ -204,6 +235,7 @@ class _NativeWork:
     :dtype live: int64
     :dtype sizes: int64
     :dtype out: int64
+    :dtype slot: int32
     """
 
     __slots__ = (
@@ -214,6 +246,7 @@ class _NativeWork:
         "live",
         "sizes",
         "out",
+        "slot",
     )
 
     def __init__(self, engine: "MSBFSEngine") -> None:
@@ -225,6 +258,36 @@ class _NativeWork:
         self.live = np.empty(n + 1, dtype=np.int64)
         self.sizes = np.empty(n + 1, dtype=np.int64)
         self.out = np.zeros(5, dtype=np.int64)
+        # Target column of each vertex, -1 for non-targets; a sweep sets
+        # its targets' entries and restores them to -1 before returning.
+        self.slot = np.full(n, -1, dtype=np.int32)
+
+
+def _vertex_ids(ids: Sequence[int], n: int, what: str) -> np.ndarray:
+    """``ids`` as a 1-D ``int64`` array, each checked to lie in ``[0, n)``.
+
+    The C kernel uses every id as a raw offset, so this is the check
+    that keeps a bad id from reaching it.
+
+    :dtype out: int64
+    """
+    out = np.ascontiguousarray(ids, dtype=np.int64)
+    if out.ndim != 1:
+        raise InvalidParameterError(f"{what} must be one-dimensional")
+    if out.size and (out.min() < 0 or out.max() >= n):
+        raise InvalidVertexError(int(out[(out < 0) | (out >= n)][0]), n)
+    return out
+
+
+def _lane_ecc(dist_t: np.ndarray) -> np.ndarray:
+    """Per-lane eccentricity of a vertex-major distance matrix.
+
+    :dtype dist_t: int32
+    :dtype ecc: int32
+    """
+    return np.where(dist_t != UNREACHED, dist_t, 0).max(
+        axis=0, initial=0
+    ).astype(np.int32)
 
 
 def _popcount(words: np.ndarray) -> int:
@@ -347,7 +410,7 @@ class MSBFSEngine:
         :dtype src: int64
         :dtype dist: int32
         """
-        dist_t, _ecc = self._sweep(sources, limit, counter, mode)
+        dist_t, _ecc, _tdist = self._sweep(sources, limit, counter, mode)
         # The sweep records vertex-major (lanes contiguous per vertex);
         # consumers get the source-major convention of the seed kernel.
         return np.ascontiguousarray(dist_t.T)
@@ -367,12 +430,39 @@ class MSBFSEngine:
 
         :dtype ecc: int32
         """
-        dist_t, ecc = self._sweep(sources, None, counter, mode, rows=False)
-        if ecc is not None:
-            return ecc
-        return np.where(dist_t != UNREACHED, dist_t, 0).max(
-            axis=0, initial=0
-        ).astype(np.int32)
+        dist_t, ecc, _tdist = self._sweep(
+            sources, None, counter, mode, rows=False
+        )
+        return ecc if ecc is not None else _lane_ecc(dist_t)
+
+    def probe_batch(
+        self,
+        sources: Sequence[int],
+        targets: Sequence[int],
+        counter: Optional["TraversalCounter"] = None,
+        mode: str = "hybrid",
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Eccentricities plus the distances to ``targets``, one sweep.
+
+        Returns ``(ecc, tdist)``: ``ecc[j]`` as :meth:`ecc_batch` gives
+        it, and the freshly-owned ``(len(sources), len(targets))``
+        ``int32`` matrix ``tdist[j, i] = d(sources[j], targets[i])``
+        (``-1`` when unreached).  Only those columns are captured — the
+        cheap probe of a solver that needs ``ecc(s)`` and the distances
+        to a few still-open vertices, never the ``(k, n)`` matrix.
+        ``targets`` must be distinct vertex ids; ids outside ``[0, n)``
+        raise :class:`~repro.errors.InvalidVertexError` before any
+        kernel runs.  Counter and trace accounting match
+        :meth:`ecc_batch`.
+
+        :dtype ecc: int32
+        :dtype tdist: int32
+        """
+        dist_t, ecc, tdist = self._sweep(
+            sources, None, counter, mode, rows=False, targets=targets
+        )
+        assert tdist is not None
+        return (ecc if ecc is not None else _lane_ecc(dist_t)), tdist
 
     def _sweep(
         self,
@@ -381,33 +471,35 @@ class MSBFSEngine:
         counter: Optional["TraversalCounter"],
         mode: str,
         rows: bool = True,
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        targets: Optional[Sequence[int]] = None,
+    ) -> Tuple[
+        Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]
+    ]:
         """Validate, pick a workspace, guard-bracket the sweep.
 
-        Returns ``(dist_t, ecc)``: the freshly-owned vertex-major
+        Returns ``(dist_t, ecc, tdist)``: the freshly-owned vertex-major
         ``(n, len(sources))`` ``int32`` distance matrix (lane ``j`` of
-        row ``v`` is ``d(sources[j], v)``) and the per-lane
-        eccentricities.  The numpy kernel always returns ``dist_t`` and
-        leaves ``ecc`` to the caller (``None``); the native kernel
-        always returns ``ecc`` and skips ``dist_t`` (``None``) when
-        ``rows`` is false.
+        row ``v`` is ``d(sources[j], v)``), the per-lane
+        eccentricities, and the lane-major target columns (``None``
+        unless ``targets`` is given).  The numpy kernel always returns
+        ``dist_t`` and leaves ``ecc`` to the caller (``None``); the
+        native kernel always returns ``ecc`` and skips ``dist_t``
+        (``None``) when ``rows`` is false.
 
         :dtype src: int64
+        :dtype tgt: int64
         """
         if mode not in ("hybrid", "top-down", "bottom-up"):
             raise InvalidParameterError(f"unknown MS-BFS mode: {mode!r}")
         if limit is not None and limit < 0:
             raise InvalidParameterError("limit must be non-negative")
         n = self._n
-        src = np.ascontiguousarray(sources, dtype=np.int64)
-        if src.ndim != 1:
-            raise InvalidParameterError("sources must be one-dimensional")
-        if src.size and (src.min() < 0 or src.max() >= n):
-            bad = src[(src < 0) | (src >= n)][0]
-            raise InvalidVertexError(int(bad), n)
+        src = _vertex_ids(sources, n, "sources")
+        tgt = None if targets is None else _vertex_ids(targets, n, "targets")
         k = len(src)
         if k == 0:
-            return np.empty((n, 0), dtype=np.int32), None
+            empty = None if tgt is None else np.empty((0, len(tgt)), np.int32)
+            return np.empty((n, 0), dtype=np.int32), None, empty
         words = -(-k // LANE_WORD_BITS)
         if words > MAX_LANE_WORDS:
             raise InvalidParameterError(
@@ -417,10 +509,10 @@ class MSBFSEngine:
         work = self._workspace(words)
         guard = work.guard
         if guard is None:
-            return self._sweep_impl(src, limit, counter, mode, work, rows)
+            return self._sweep_impl(src, limit, counter, mode, work, rows, tgt)
         guard.begin_run()
         try:
-            return self._sweep_impl(src, limit, counter, mode, work, rows)
+            return self._sweep_impl(src, limit, counter, mode, work, rows, tgt)
         finally:
             guard.end_run()
 
@@ -432,7 +524,10 @@ class MSBFSEngine:
         mode: str,
         work: _MSWorkspace,
         rows: bool,
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        tgt: Optional[np.ndarray],
+    ) -> Tuple[
+        Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]
+    ]:
         """The sweep itself (guard bookkeeping handled by the caller).
 
         Runs the native kernel when it is loaded, else the numpy level
@@ -440,15 +535,20 @@ class MSBFSEngine:
 
         :mutates work: the lane bitmaps are zeroed and rewritten level
             by level; the sweep owns them for its duration.
+        :dtype tdist: int32
         """
         kern = native.kernels()
         ecc: Optional[np.ndarray] = None
+        tdist: Optional[np.ndarray] = None
         reached: Optional[int] = None
         if kern is None:
             dist_t, stats = self._levels(src, limit, mode, work)
+            if tgt is not None:
+                # The same columns the C kernel captures, lane-major.
+                tdist = np.ascontiguousarray(dist_t[tgt].T)
         else:
-            dist_t, ecc, stats, reached = self._levels_native(
-                kern, src, limit, mode, work, rows
+            dist_t, ecc, tdist, stats, reached = self._levels_native(
+                kern, src, limit, mode, work, rows, tgt
             )
         k = len(src)
         self.last_stats = stats
@@ -479,7 +579,7 @@ class MSBFSEngine:
                 frontier_sizes=list(stats.frontier_sizes),
             )
             tracer.metrics.ingest_msbfs_stats(stats)
-        return dist_t, ecc
+        return dist_t, ecc, tdist
 
     def _levels_native(
         self,
@@ -489,15 +589,23 @@ class MSBFSEngine:
         mode: str,
         work: _MSWorkspace,
         rows: bool,
-    ) -> Tuple[Optional[np.ndarray], np.ndarray, MSBFSRunStats, int]:
+        tgt: Optional[np.ndarray],
+    ) -> Tuple[
+        Optional[np.ndarray],
+        np.ndarray,
+        Optional[np.ndarray],
+        MSBFSRunStats,
+        int,
+    ]:
         """The sweep in C; same decisions and stats as :meth:`_levels`.
 
-        Returns ``(dist_t or None, ecc, stats, reached)`` where
-        ``reached`` counts the set cells of the distance matrix.  The
-        lane bitmaps of ``work`` serve as the kernel's scratch.
+        Returns ``(dist_t or None, ecc, tdist or None, stats, reached)``
+        where ``reached`` counts the set cells of the distance matrix.
+        The lane bitmaps of ``work`` serve as the kernel's scratch.
 
         :dtype dist_t: int32
         :dtype ecc: int32
+        :dtype tdist: int32
         """
         scratch = self._native
         if scratch is None:
@@ -505,29 +613,45 @@ class MSBFSEngine:
         k = len(src)
         dist_t = np.empty((self._n, k), dtype=np.int32) if rows else None
         ecc = np.empty(k, dtype=np.int32)
-        kern.msbfs(
-            work.words,
-            self._n,
-            scratch.csr.row_ptr_addr,
-            scratch.csr.col_idx_addr,
-            src.ctypes.data,
-            k,
-            -1 if limit is None else limit,
-            native.MODE_CODES[mode],
-            self.alpha,
-            self.beta,
-            work.seen.ctypes.data,
-            work.frontier.ctypes.data,
-            work.next_mask.ctypes.data,
-            scratch.active.ctypes.data,
-            scratch.fresh.ctypes.data,
-            None if dist_t is None else dist_t.ctypes.data,
-            ecc.ctypes.data,
-            scratch.dirs.ctypes.data,
-            scratch.live.ctypes.data,
-            scratch.sizes.ctypes.data,
-            scratch.out.ctypes.data,
-        )
+        tdist = None
+        slot = scratch.slot
+        if tgt is not None:
+            columns = np.arange(len(tgt), dtype=np.int32)
+            slot[tgt] = columns
+            if not np.array_equal(slot[tgt], columns):
+                slot[tgt] = -1
+                raise InvalidParameterError("targets must be distinct")
+            tdist = np.empty((k, len(tgt)), dtype=np.int32)
+        try:
+            kern.msbfs(
+                work.words,
+                self._n,
+                scratch.csr.row_ptr_addr,
+                scratch.csr.col_idx_addr,
+                src.ctypes.data,
+                k,
+                -1 if limit is None else limit,
+                native.MODE_CODES[mode],
+                self.alpha,
+                self.beta,
+                work.seen.ctypes.data,
+                work.frontier.ctypes.data,
+                work.next_mask.ctypes.data,
+                scratch.active.ctypes.data,
+                scratch.fresh.ctypes.data,
+                None if dist_t is None else dist_t.ctypes.data,
+                None if tdist is None else slot.ctypes.data,
+                0 if tgt is None else len(tgt),
+                None if tdist is None else tdist.ctypes.data,
+                ecc.ctypes.data,
+                scratch.dirs.ctypes.data,
+                scratch.live.ctypes.data,
+                scratch.sizes.ctypes.data,
+                scratch.out.ctypes.data,
+            )
+        finally:
+            if tgt is not None:
+                slot[tgt] = -1
         levels, scanned, inspected, words_touched, reached = (
             scratch.out.tolist()
         )
@@ -545,7 +669,7 @@ class MSBFSEngine:
             live_lanes=scratch.live[:levels].tolist(),
             frontier_sizes=scratch.sizes[:levels].tolist(),
         )
-        return dist_t, ecc, stats, reached
+        return dist_t, ecc, tdist, stats, reached
 
     def _levels(
         self,
@@ -827,9 +951,7 @@ def _fill_rows(
 
     :mutates out: row ``i`` is overwritten with ``dist(src[i], .)``.
     """
-    width = plan_lane_width(
-        graph.num_vertices, int(len(graph.indices)), len(src)
-    )
+    width = plan_lane_width(int(len(graph.indices)), len(src))
     if width == 0:
         engine = engine_for(graph)
         for i in range(len(src)):

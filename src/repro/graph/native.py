@@ -84,7 +84,7 @@ CFLAGS: Tuple[str, ...] = (
 )
 
 #: Must equal ``KERNEL_ABI`` in ``_kernels.c``.
-ABI = 1
+ABI = 2
 
 #: Mode codes shared with the C file.
 MODE_CODES = {"hybrid": 0, "top-down": 1, "bottom-up": 2}
@@ -138,7 +138,9 @@ class Kernels:
         self.msbfs.restype = _INT
         self.msbfs.argtypes = (
             [_I64, _I64, _P, _P, _P, _I64, _I64, _INT, _DBL, _DBL]
-            + [_P] * 11
+            + [_P] * 7
+            + [_I64]
+            + [_P] * 6
         )
         self._bound_progress = library.repro_bound_progress
         self._bound_progress.restype = _I64

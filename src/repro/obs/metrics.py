@@ -225,6 +225,9 @@ class MetricsRegistry:
             counter.vertices_visited
         )
         self.counter(f"{prefix}.relaxations").inc(counter.relaxations)
+        self.counter(f"{prefix}.speculative_lanes").inc(
+            counter.speculative_lanes
+        )
 
     def ingest_run_stats(
         self, stats: "BFSRunStats", prefix: str = "bfs"

@@ -109,6 +109,7 @@ def _counter_dict(counter: Any) -> Dict[str, int]:
         "edges_inspected": int(counter.edges_inspected),
         "vertices_visited": int(counter.vertices_visited),
         "relaxations": int(counter.relaxations),
+        "speculative_lanes": int(counter.speculative_lanes),
     }
 
 
@@ -367,11 +368,13 @@ class RunRecord:
         if totals:
             lines.append(
                 "work: runs={runs} edges_scanned={scanned} "
-                "edges_inspected={inspected} relaxations={relax}".format(
+                "edges_inspected={inspected} relaxations={relax} "
+                "speculative_lanes={spec}".format(
                     runs=totals.get("traversal_runs", "?"),
                     scanned=totals.get("edges_scanned", "?"),
                     inspected=totals.get("edges_inspected", "?"),
                     relax=totals.get("relaxations", "?"),
+                    spec=totals.get("speculative_lanes", 0),
                 )
             )
         lines.append(f"wall: {self.wall_seconds:.3f}s")

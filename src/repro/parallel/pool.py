@@ -396,7 +396,7 @@ class TraversalPool:
         :dtype ecc: int32
         """
         src = self._check_sources(sources)
-        width = plan_lane_width(self.num_vertices, self.num_arcs, len(src))
+        width = plan_lane_width(self.num_arcs, len(src))
         return self._dispatch("ecc", src, (), "int32", counter, width)
 
     def distance_rows(
@@ -419,9 +419,7 @@ class TraversalPool:
         src = self._check_sources(sources)
         uniq, inverse = np.unique(src, return_inverse=True)
         distinct = src if len(uniq) == len(src) else uniq
-        width = plan_lane_width(
-            self.num_vertices, self.num_arcs, len(distinct)
-        )
+        width = plan_lane_width(self.num_arcs, len(distinct))
         rows = self._dispatch(
             "dist", distinct, (self.num_vertices,), "int32", counter, width
         )

@@ -14,7 +14,7 @@ weights.
 from __future__ import annotations
 
 import heapq
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -138,17 +138,17 @@ class DijkstraOracle:
         dist = sanitize.assert_owned(dist)
         return ecc, dist, dist
 
-    def sweep_probe(
+    def sweep_probes(
         self,
-        source: int,
+        sources: np.ndarray,
+        targets: np.ndarray,
         counter: Optional[TraversalCounter] = None,
-    ) -> Tuple[Optional[float], np.ndarray]:
-        # Unlike BFSOracle this back-end promises *owned* vectors (no
-        # pooling in the heap Dijkstra); assert_owned enforces the promise.
+    ) -> Tuple[List[Optional[float]], np.ndarray]:
+        # One Dijkstra per call: the heap search has no lane batching.
         ecc, dist = weighted_eccentricity_and_distances(
-            self.graph, source, counter=counter
+            self.graph, int(sources[0]), counter=counter
         )
-        return ecc, sanitize.assert_owned(dist)
+        return [ecc], dist[targets][np.newaxis]
 
     def disconnected_error(self) -> DisconnectedGraphError:
         return DisconnectedGraphError(2, "weighted graph is disconnected")

@@ -34,6 +34,7 @@ from repro.graph.properties import exact_eccentricities
 #: built); a twin whose id ends in ``numpy]`` runs the same body on the
 #: numpy fallback.  Both kernels must pass every test unchanged.
 KERNEL_PAIRED = (
+    "tests/core/test_lane_probes.py",
     "tests/graph/test_engine.py",
     "tests/graph/test_msengine.py",
     "tests/obs/test_determinism.py",

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bounds import (
     INFINITE_ECC,
@@ -13,6 +15,8 @@ from repro.errors import InvalidParameterError
 from repro.graph.generators import path_graph
 from repro.graph.properties import exact_eccentricities
 from repro.graph.traversal import bfs_distances
+
+from helpers import random_connected_graph
 
 
 class TestInitialState:
@@ -136,6 +140,33 @@ class TestLemma33Tail:
         assert state.upper[3] == 4
 
 
+class TestProbeSubset:
+    def test_raise_then_tail_cap(self):
+        state = BoundState(5)
+        state.apply_lemma31(np.array([2, 1, 0, 1, 2], dtype=np.int32), 4)
+        before_lower = state.lower.copy()
+        subset = np.array([0, 3, 4])
+        dist = np.array([5, 3, 1], dtype=np.int32)
+        dist_z = np.array([2, 1, 2], dtype=np.int32)
+        state.apply_probe_subset(subset, dist, dist_z, 2)
+        want_lower = np.maximum(before_lower[subset], dist)
+        want_upper = np.minimum(
+            np.array([6, 5, 6]), np.maximum(want_lower, dist_z + 2)
+        )
+        assert state.lower[subset].tolist() == want_lower.tolist()
+        assert state.upper[subset].tolist() == want_upper.tolist()
+        assert state.lower[[1, 2]].tolist() == before_lower[[1, 2]].tolist()
+
+    def test_inconsistent_raise_rejected_unchanged(self):
+        state = BoundState(2)
+        state.set_exact(0, 3)
+        with pytest.raises(InvalidParameterError):
+            state.apply_probe_subset(
+                np.array([0]), np.array([4]), np.array([0]), 0
+            )
+        assert (state.lower[0], state.upper[0]) == (3, 3)
+
+
 class TestSetExact:
     def test_pins_value(self):
         state = BoundState(2)
@@ -201,3 +232,91 @@ class TestProgress:
             for cap in (float(n), 7.0, float(2**40)):
                 want = float(np.minimum(gap, cap).sum())
                 assert state.progress(cap) == (resolved, want)
+
+
+class TestResolvedCount:
+    """The totals each update keeps equal a full recount.
+
+    Both kept totals are checked: the resolved count, and the capped gap
+    mass once :meth:`BoundState.progress` has been asked for it.
+
+    Operations replay Lemma 3.1/3.3 updates from one graph's true BFS
+    distances (so most succeed and vertices resolve along the way) plus
+    random tail radii (so some Lemma 3.3 caps are too tight and raise,
+    which must leave the count untouched).
+    """
+
+    OPS = (
+        "set_exact",
+        "lemma31",
+        "lower_only",
+        "lemma31_subset",
+        "probe_subset",
+        "lemma33",
+        "lemma33_subset",
+        "assign_lower",
+    )
+
+    @staticmethod
+    def _apply(state, op, dist, ecc, rng):
+        n = len(ecc)
+        t = int(rng.integers(0, n))
+        subset = np.flatnonzero(rng.random(n) < 0.5)
+        row = dist[t].astype(state.dtype)
+        if op == "set_exact":
+            state.set_exact(t, ecc[t])
+        elif op == "lemma31":
+            state.apply_lemma31(row, ecc[t])
+        elif op == "lower_only":
+            state.apply_lower_only(row)
+        elif op == "lemma31_subset":
+            state.apply_lemma31_subset(subset, row[subset], ecc[t])
+        elif op == "probe_subset":
+            z = int(rng.integers(0, n))
+            state.apply_probe_subset(
+                subset,
+                row[subset],
+                dist[z][subset],
+                int(rng.integers(0, ecc[z] + 1)),
+            )
+        elif op == "lemma33":
+            state.apply_lemma33_tail(row, int(rng.integers(0, ecc[t] + 1)))
+        elif op == "lemma33_subset":
+            state.apply_lemma33_tail(
+                row, int(rng.integers(0, ecc[t] + 1)), subset=subset
+            )
+        else:
+            # reprolint: disable=R2 (the setter must recount)
+            state.lower = np.minimum(state.lower + 1, state.upper)
+
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        extra=st.integers(min_value=0, max_value=30),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        dtype=st.sampled_from([np.int32, np.float64]),
+        tolerance=st.sampled_from([0.0, 1.0]),
+        ops=st.lists(st.sampled_from(OPS), min_size=1, max_size=25),
+        track_gap=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_totals_match_recount(
+        self, n, extra, seed, dtype, tolerance, ops, track_gap
+    ):
+        graph = random_connected_graph(n, extra, seed)
+        dist = np.stack([bfs_distances(graph, v) for v in range(n)])
+        ecc = dist.max(axis=1)
+        state = BoundState(n, dtype=dtype, tolerance=tolerance)
+        cap = float(n)
+        if track_gap:
+            state.progress(cap)
+        rng = np.random.default_rng(seed)
+        for op in ops:
+            try:
+                self._apply(state, op, dist, ecc, rng)
+            except InvalidParameterError:
+                pass  # a too-tight random cap; the state must be unchanged
+            recount = int(np.count_nonzero(state.resolved_mask()))
+            assert state.num_resolved() == recount, op
+            if track_gap:
+                mass = float(np.minimum(state.gap(), cap).sum())
+                assert state.progress(cap) == (recount, mass), op

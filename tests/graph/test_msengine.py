@@ -146,23 +146,22 @@ class TestValidation:
 
 class TestPlanner:
     def test_small_batches_stay_serial(self):
-        assert plan_lane_width(100_000, 400_000, 1) == 0
-        assert plan_lane_width(100_000, 400_000, 7) == 0
+        assert plan_lane_width(400_000, 1) == 0
+        assert plan_lane_width(400_000, 7) == 0
+        assert plan_lane_width(400_000, 23) == 0
 
     def test_edgeless_graphs_stay_serial(self):
-        assert plan_lane_width(100, 0, 64) == 0
+        assert plan_lane_width(0, 64) == 0
 
     def test_single_word_default(self):
-        assert plan_lane_width(1_000, 4_000, 64) == 64
-        # Wide batches on small graphs still stay at one word.
-        assert plan_lane_width(1_000, 4_000, 256) == 64
+        assert plan_lane_width(4_000, 24) == 64
+        assert plan_lane_width(4_000, 127) == 64
 
     def test_multi_word_thresholds(self):
-        assert plan_lane_width(2_048, 8_192, 128) == 128
-        assert plan_lane_width(4_096, 16_384, 256) == 256
-        # The 256 tier needs both the batch and the vertex floor.
-        assert plan_lane_width(4_000, 16_000, 256) == 128
-        assert plan_lane_width(4_096, 16_384, 255) == 128
+        # The widest lane group the batch fills, on any graph size.
+        assert plan_lane_width(4_000, 128) == 128
+        assert plan_lane_width(16_384, 255) == 128
+        assert plan_lane_width(4_000, 256) == 256
 
 
 class TestStatsAndObservability:

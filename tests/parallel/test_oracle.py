@@ -86,8 +86,10 @@ class TestBatchedEntryPoints:
             "repro.core.oracles.pool_for", _no_pool, raising=True
         )
         ecc, dist, rdist = oracle.source_probe(0)
-        sweep_ecc, _sweep = oracle.sweep_probe(0)
-        assert ecc == sweep_ecc
+        everyone = np.arange(graph.num_vertices)
+        sweep_ecc, rows = oracle.sweep_probes(np.array([0]), everyone)
+        assert sweep_ecc == [ecc]
+        assert np.array_equal(rows[0], dist)
         assert dist is rdist
 
     def test_close_then_reuse_rebuilds_pool(self):

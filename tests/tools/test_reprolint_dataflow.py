@@ -217,14 +217,15 @@ class TestCrossModule:
         assert summary is not None
         assert has_workspace(summary.returns)
 
-    def test_sweep_probe_relays_the_loan(self):
+    def test_sweep_probes_returns_owned_rows(self):
+        # The pooled BFS vector is gathered into fresh rows before return.
         with repo_cwd():
             index = ProjectIndex()
             summary = index.summary_for_method(
-                "repro.core.oracles.BFSOracle", "sweep_probe"
+                "repro.core.oracles.BFSOracle", "sweep_probes"
             )
         assert summary is not None
-        assert has_workspace(summary.returns)
+        assert not has_workspace(summary.returns)
 
     def test_source_probe_copies_before_returning(self):
         with repo_cwd():

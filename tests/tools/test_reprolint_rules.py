@@ -602,7 +602,22 @@ class TestEngine:
             lint_paths(["no/such/dir"])
 
 
+@pytest.fixture
+def loan_protocol(monkeypatch):
+    """Register ``sweep_probe`` as a protocol method lending pooled views.
+
+    No shipped protocol method lends one any more, so the fixtures below
+    exercise R9's by-name protocol rule through this stand-in.
+    """
+    from reprolint import config
+
+    monkeypatch.setitem(
+        config.PROTOCOL_WORKSPACE_METHODS, "sweep_probe", (None, "workspace")
+    )
+
+
 # ----------------------------------------------------------------- R9
+@pytest.mark.usefixtures("loan_protocol")
 class TestWorkspaceEscape:
     """R9: pooled workspace buffers must not escape without a copy."""
 
@@ -890,7 +905,7 @@ class TestSuppressionInventory:
         )
         assert diags == []
 
-    def test_strict_rule_needs_justification(self):
+    def test_strict_rule_needs_justification(self, loan_protocol):
         diags = run(
             wrap(
                 "def consume(o) -> np.ndarray:\n"
@@ -902,7 +917,7 @@ class TestSuppressionInventory:
         assert len(diags) == 1
         assert "justification" in diags[0].message
 
-    def test_justified_strict_suppression_clean(self):
+    def test_justified_strict_suppression_clean(self, loan_protocol):
         diags = run(
             wrap(
                 "def consume(o) -> np.ndarray:\n"

@@ -140,7 +140,6 @@ WORKSPACE_PRODUCERS = frozenset(
         "repro.graph.engine.BFSEngine._run_impl",
         "repro.graph.engine.BFSEngine.run_multi",
         "repro.graph.engine.BFSEngine._run_multi_impl",
-        "repro.core.oracles.BFSOracle.sweep_probe",
         "repro.sanitize.WorkspaceGuard.loan",
     }
 )
@@ -148,10 +147,10 @@ WORKSPACE_PRODUCERS = frozenset(
 #: ``DistanceOracle`` protocol methods that may return pooled-workspace
 #: views regardless of the concrete receiver; the tuple lists each
 #: returned slot as ``"workspace"`` or ``None``.  Keeps consumers honest
-#: even when the receiver's concrete class cannot be resolved.
-PROTOCOL_WORKSPACE_METHODS = {
-    "sweep_probe": (None, "workspace"),
-}
+#: even when the receiver's concrete class cannot be resolved.  Empty:
+#: every protocol method returns caller-owned arrays (``sweep_probes``
+#: gathers its rows out of the pooled BFS buffer).
+PROTOCOL_WORKSPACE_METHODS: dict[str, tuple[str | None, ...]] = {}
 
 #: Files exempt from R9: the sanitizer *is* the guard layer and handles
 #: raw pooled buffers by design.
